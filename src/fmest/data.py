@@ -248,7 +248,7 @@ def load_csv(path) -> Dataset:
             )
         records = {}  # curve_id -> {t: value or None}
         groups = {}
-        t_values = set()
+        t_first = {}  # t -> (line, raw text) where it first appears
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -280,12 +280,22 @@ def load_csv(path) -> Dataset:
             prev = groups.setdefault(cid, group)
             if prev != group:
                 raise DataFormatError(f"{path}:{lineno}: curve {cid!r} has conflicting groups")
-            t_values.add(t)
+            t_first.setdefault(t, (lineno, t_raw))
     if not records:
         raise DataFormatError(f"{path}: no data rows")
-    t_sorted = np.array(sorted(t_values), dtype=float)
+    t_sorted = np.array(sorted(t_first), dtype=float)
     if t_sorted.size < 2:
         raise DataFormatError(f"{path}: fewer than 2 distinct grid points")
+    # t values within 1e-9 of the t range are one grid point written two ways
+    # (0.3 and 0.30000000000000004); as two points each would hold some curves
+    near = np.flatnonzero(np.diff(t_sorted) <= 1e-9 * (t_sorted[-1] - t_sorted[0]))
+    if near.size:
+        (line_a, raw_a), (line_b, raw_b) = sorted(
+            t_first[t] for t in t_sorted[near[0]:near[0] + 2])
+        raise DataFormatError(
+            f"{path}:{line_b}: t={raw_b!r} nearly duplicates t={raw_a!r} (line {line_a}); "
+            f"write each grid point the same way in every row"
+        )
     grid = Grid.from_source_points(t_sorted)
     index = {t: j for j, t in enumerate(t_sorted)}
     curves = []

@@ -17,7 +17,6 @@ arrays of shape (..., n, J) so bootstrap replicates can be fitted in batch.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,29 +80,6 @@ def _quantile_locations(values: np.ndarray, mask: np.ndarray, tau: float) -> np.
     return np.where(m > 0, theta, np.nan)
 
 
-def _prep_cutoff(loss: LossSpec, grid_size: int, lead_ndim: int):
-    """Cutoff broadcastable against residuals of shape (..., n, J)."""
-    if loss.kind == "squantile":
-        return float(loss.h)
-    prof = loss.tuning_profile
-    if prof is None:
-        return float(loss.c)
-    prof = np.asarray(prof, dtype=float)
-    if prof.shape[-1] != grid_size:
-        raise DataFormatError("tuning profile not aligned with grid")
-    return prof
-
-
-def _cutoff_at(c, index: tuple):
-    """Cutoff value for one (..., j) location given the prepared cutoff."""
-    if np.ndim(c) == 0:
-        return float(c)
-    c = np.asarray(c)
-    if c.ndim == 1:
-        return float(c[index[-1]])
-    return float(c[index])
-
-
 class _RootProblem:
     """Reusable buffers and fused scoring for the bracketed root solve.
 
@@ -151,12 +127,13 @@ def _flat_fixup(theta, values, mask, flat, c):
     x_i +- c; the estimate is taken as that interval's midpoint (this is what
     makes tiny-cutoff huber agree with the midpoint median convention).
     """
+    c = np.broadcast_to(c, theta.shape)
     for idx in np.argwhere(flat):
         key = tuple(idx)
         lead, j = key[:-1], key[-1]
         col_mask = mask[(*lead, slice(None), j)]
         x = values[(*lead, slice(None), j)][col_mask]
-        w = _cutoff_at(c, key)
+        w = c[key]
         bps = np.concatenate([x - w, x + w])
         t0 = theta[key]
         below = bps[bps <= t0]
@@ -171,7 +148,9 @@ def solve_locations(values, mask, loss: LossSpec, tol_root: float = DEFAULT_TOL_
     """Location estimates along axis -2 (curves) for every grid point.
 
     ``values`` may hold NaN at masked-out entries.  Returns an array of shape
-    values.shape minus the curve axis, NaN where no curve is observed.
+    values.shape minus the curve axis, NaN where no curve is observed.  A
+    huber ``tuning_profile`` must broadcast against that shape: (J,) shares
+    one cutoff profile, (B, J) gives each of B stacked fits its own.
     ``theta0`` warm-starts the kinked-loss root solve (clipped into the data
     bracket); it does not change what is being solved.
     """
@@ -191,7 +170,12 @@ def solve_locations(values, mask, loss: LossSpec, tol_root: float = DEFAULT_TOL_
     if loss.kind == "quantile":
         return _quantile_locations(values, mask, loss.tau)
 
-    c = _prep_cutoff(loss, values.shape[-1], values.ndim - 2)
+    c = loss.h if loss.kind == "squantile" else loss.cutoff()
+    try:
+        np.broadcast_to(c, n_eff.shape)
+    except ValueError:
+        raise DataFormatError(f"cutoff of shape {np.shape(c)} does not broadcast "
+                              f"against the fitted shape {n_eff.shape}") from None
     v0 = np.where(mask, values, 0.0)
     lo = np.min(np.where(mask, values, np.inf), axis=-2)
     hi = np.max(np.where(mask, values, -np.inf), axis=-2)
@@ -281,8 +265,6 @@ def resolve_loss(choice, dataset: Dataset, c_floor: float = C_FLOOR) -> LossSpec
 def fit_marginal(dataset: Dataset, loss: LossSpec, tol_root: float = DEFAULT_TOL_ROOT,
                  max_iter: int = DEFAULT_MAX_ITER) -> MEstimate:
     """Pointwise M-fit of the dataset; undefined points are left NaN."""
-    if loss.tuning_profile is not None and loss.tuning_profile.shape[0] != dataset.grid.size:
-        raise DataFormatError("tuning profile not aligned with dataset grid")
     values = dataset.values_matrix
     mask = dataset.mask_matrix
     n_eff = mask.sum(axis=0)
@@ -308,37 +290,27 @@ def interpolate_undefined(estimate: MEstimate) -> MEstimate:
 
 
 def mad_profile(dataset: Dataset, r: float, c_floor: float = C_FLOOR) -> TuningProfile:
-    """Huber cutoffs c(t) = max(r * MAD(t), c_floor) from pointwise medians.
-
-    MAD is the raw median absolute deviation of the observed values (no
-    normal-consistency factor).  Points nobody observes inherit interpolated
-    cutoffs from their neighbors.
-    """
-    if not np.isfinite(r) or r <= 0:
-        raise ValueError("scale factor r must be positive")
-    values = dataset.values_matrix
-    mask = dataset.mask_matrix
-    with warnings.catch_warnings():
-        # all-NaN columns are expected: nobody observes them, we interpolate
-        warnings.simplefilter("ignore", RuntimeWarning)
-        masked = np.where(mask, values, np.nan)
-        med = np.nanmedian(masked, axis=0)
-        mad = np.nanmedian(np.abs(masked - med), axis=0)
-    c = np.where(np.isnan(mad), np.nan, np.maximum(r * mad, c_floor))
-    if np.isnan(c).any():
-        c = interpolate_rows(c, dataset.grid.points)
-        c = np.maximum(c, c_floor)
+    """Huber cutoffs c(t) = max(r * MAD(t), c_floor) of the whole dataset
+    (see :func:`mad_cutoffs`)."""
+    c = mad_cutoffs(dataset.values_matrix, dataset.mask_matrix, r, c_floor=c_floor,
+                    points=dataset.grid.points)
     return TuningProfile(c_of_t=c, r=float(r))
 
 
 def mad_cutoffs(values: np.ndarray, mask: np.ndarray, r: float,
                 c_floor: float = C_FLOOR, points: np.ndarray | None = None) -> np.ndarray:
-    """Array-level MAD cutoffs along the curve axis; shape (..., J)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        masked = np.where(mask, values, np.nan)
-        med = np.nanmedian(masked, axis=-2)
-        mad = np.nanmedian(np.abs(masked - med[..., None, :]), axis=-2)
+    """Huber cutoffs c(t) = max(r * MAD(t), c_floor) along the curve axis;
+    shape (..., J).
+
+    MAD is the raw median absolute deviation of the observed values about
+    their pointwise median (no normal-consistency factor); both medians use
+    the midpoint convention for even counts.  Points nobody observes inherit
+    cutoffs interpolated over ``points`` from their neighbors.
+    """
+    if not np.isfinite(r) or r <= 0:
+        raise ValueError("scale factor r must be positive")
+    med = _quantile_locations(values, mask, 0.5)
+    mad = _quantile_locations(np.abs(values - med[..., None, :]), mask, 0.5)
     c = np.maximum(r * mad, c_floor)
     if np.isnan(c).any():
         if points is None:
@@ -366,9 +338,7 @@ def influence_function(dataset: Dataset, loss: LossSpec, theta_hat: np.ndarray,
     values = dataset.values_matrix
     mask = dataset.mask_matrix
     resid = np.where(mask, values, theta_hat) - theta_hat
-    pd = loss_psi_dot(loss, resid, point_index=None) if loss.tuning_profile is None \
-        else _profile_psi_dot(loss, resid)
-    d = np.where(mask, pd, 0.0).sum(axis=0) / dataset.n
+    d = np.where(mask, loss_psi_dot(loss, resid), 0.0).sum(axis=0) / dataset.n
     low = d <= d_floor
     if low.any():
         j = int(np.flatnonzero(low)[0])
@@ -377,16 +347,5 @@ def influence_function(dataset: Dataset, loss: LossSpec, theta_hat: np.ndarray,
             f"(t={dataset.grid.points[j]:g}) is at or below {d_floor:g}"
         )
     y_res = np.where(y_star.mask, y_star.values, theta_hat) - theta_hat
-    num = loss_psi(loss, y_res, point_index=None) if loss.tuning_profile is None \
-        else _profile_psi(loss, y_res)
-    return np.where(y_star.mask, num, 0.0) / d
+    return np.where(y_star.mask, loss_psi(loss, y_res), 0.0) / d
 
-
-def _profile_psi(loss: LossSpec, resid: np.ndarray) -> np.ndarray:
-    c = loss.tuning_profile
-    return np.clip(resid, -c, c)
-
-
-def _profile_psi_dot(loss: LossSpec, resid: np.ndarray) -> np.ndarray:
-    c = loss.tuning_profile
-    return (np.abs(resid) <= c).astype(float)

@@ -125,7 +125,6 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed,
     for b in range(B):
         idx[b] = _resample_indices(n, key, b)
     out = np.empty((B, dataset.grid.size))
-    scaled = isinstance(loss, ScaledHuber)
     resolved = resolve_loss(loss, dataset)
     warm = None
     if resolved.kind in ("huber", "squantile"):
@@ -137,27 +136,15 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed,
         sel = idx[start:stop]
         v = values[sel]
         m = mask[sel]
-        if scaled:
-            c = mad_cutoffs(v, m, loss.r, points=dataset.grid.points)
-            theta = _solve_profile_batch(v, m, c, tol_root, max_iter, theta0=warm)
-        else:
-            theta = solve_locations(v, m, loss, tol_root=tol_root,
-                                    max_iter=max_iter, theta0=warm)
-        out[start:stop] = theta
+        batch_loss = resolved
+        if isinstance(loss, ScaledHuber):
+            # one cutoff profile per replicate, shape (stop - start, J)
+            batch_loss = huber(tuning_profile=mad_cutoffs(v, m, loss.r,
+                                                          points=dataset.grid.points))
+        out[start:stop] = solve_locations(v, m, batch_loss, tol_root=tol_root,
+                                          max_iter=max_iter, theta0=warm)
     out = interpolate_rows(out, dataset.grid.points)
     return BootstrapEnsemble(replicates=out, B=B, seed=key)
-
-
-def _solve_profile_batch(values, mask, cutoffs, tol_root, max_iter, theta0=None):
-    """Huber solve where every replicate carries its own cutoff profile (B, J)."""
-    B = values.shape[0]
-    theta = np.empty((B, values.shape[-1]))
-    for b in range(B):
-        loss_b = huber(tuning_profile=cutoffs[b])
-        theta[b] = solve_locations(values[b], mask[b], loss_b,
-                                   tol_root=tol_root, max_iter=max_iter,
-                                   theta0=theta0)
-    return theta
 
 
 # -- chi-square mixture calibration --------------------------------------------

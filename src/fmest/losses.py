@@ -9,8 +9,10 @@ derivative ``psi_dot``:
 * squantile (tau,h): quantile loss with the kink replaced on [-h, h] by the
   quadratic matching value and slope at +-h, anchored so rho(0) = 0
 
-The huber cutoff may vary over the grid through ``tuning_profile``, one value
-per grid point.
+The huber cutoff is a scalar ``c`` or a ``tuning_profile`` array whose last
+axis runs over the J grid points and which broadcasts against residuals of
+shape (..., J): one profile (J,) for every fit, or one profile per fit, such
+as (B, J) for B bootstrap replicates.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ class LossSpec:
     """A concrete loss (all tuning fixed).
 
     ``c`` is the huber cutoff; ``tau`` the quantile level; ``h`` the
-    smoothing half-width.  ``tuning_profile`` (huber only) supplies a cutoff
-    per grid point and takes precedence over ``c``.
+    smoothing half-width.  ``tuning_profile`` (huber only) is an array of
+    positive, finite cutoffs whose last axis is the grid, e.g. (J,) or (B, J);
+    it broadcasts against (..., J) and takes precedence over ``c``.
     """
 
     kind: str
@@ -43,8 +46,8 @@ class LossSpec:
         if self.kind == "huber":
             if self.tuning_profile is not None:
                 prof = np.asarray(self.tuning_profile, dtype=float)
-                if prof.ndim != 1 or not np.all(np.isfinite(prof)) or np.any(prof <= 0):
-                    raise ValueError("tuning_profile must be a 1-d array of positive cutoffs")
+                if prof.ndim < 1 or not np.all(np.isfinite(prof)) or np.any(prof <= 0):
+                    raise ValueError("tuning_profile must be an array of positive, finite cutoffs")
                 prof = prof.copy()
                 prof.setflags(write=False)
                 object.__setattr__(self, "tuning_profile", prof)
@@ -60,12 +63,13 @@ class LossSpec:
                 raise ValueError("smoothing half-width h must be positive")
 
     def cutoff(self, point_index=None):
-        """Huber cutoff at a grid point (scalar or full profile when None)."""
+        """Huber cutoff at grid point ``point_index`` (indexing the last,
+        grid axis of a profile), or the whole cutoff when None."""
         if self.tuning_profile is None:
             return self.c
         if point_index is None:
             return self.tuning_profile
-        return self.tuning_profile[point_index]
+        return self.tuning_profile[..., point_index]
 
     def describe(self) -> str:
         if self.kind == "square":

@@ -170,6 +170,15 @@ def test_load_csv_errors_name_the_line(tmp_path):
         load_csv(tmp_path / "missing.csv")
 
 
+def test_load_csv_rejects_near_duplicate_t(tmp_path):
+    # 0.1 + 0.2 prints as 0.3 but is a different float: one grid point, not two
+    p = _write(tmp_path, "curve_id,group,t,value\na,g,0.0,1.0\na,g,0.3,1.0\n"
+               "b,g,0.0,2.0\nb,g,0.30000000000000004,2.0\na,g,1.0,1.0\n", "near.csv")
+    with pytest.raises(DataFormatError,
+                       match=r"near\.csv:5: t='0\.30000000000000004' .*t='0\.3' \(line 3\)"):
+        load_csv(p)
+
+
 def test_load_csv_rejects_fully_missing_curve(tmp_path):
     p = _write(tmp_path, "curve_id,group,t,value\na,g,0.0,\na,g,1.0,\nb,g,0.0,1\nb,g,1.0,2\n")
     with pytest.raises(DataFormatError, match="'a' has no observed"):

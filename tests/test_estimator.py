@@ -1,5 +1,7 @@
 """Pointwise solver: closed forms, limits, equivariance, influence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from fmest.estimator import (
     solve_locations,
 )
 from fmest.losses import ScaledHuber, huber, psi, quantile, smoothed_quantile, square
+from fmest.sampling import generate_masks, random_interval
+from fmest.simulation import generate_curves, model_preset
 
 
 def masked_mean(values, mask):
@@ -105,6 +109,36 @@ def test_batched_equals_loop(rng):
         whole = solve_locations(values, mask, loss)
         rows = np.stack([solve_locations(values[i], mask[i], loss) for i in range(5)])
         np.testing.assert_allclose(whole, rows, atol=1e-12)
+
+
+def test_per_replicate_cutoffs_equal_separate_solves(rng):
+    """One solve with (B, J) cutoffs is B solves with (J,) profiles, bit for bit."""
+    B, n, J = 6, 30, 12
+    values = rng.standard_t(2, size=(B, n, J))
+    mask = rng.random((B, n, J)) < 0.75
+    mask[:, 0, :] = True
+    mask[1, :, 3] = False  # an unobserved column in one replicate
+    cutoffs = rng.uniform(1e-6, 2.0, size=(B, J))
+    cutoffs[2, :5] = 1e-6  # tiny cutoffs leave flat root intervals to center
+    for theta0 in (None, np.median(values[0], axis=0) + 0.3):
+        whole = solve_locations(values, mask, huber(tuning_profile=cutoffs), theta0=theta0)
+        rows = np.stack([solve_locations(values[b], mask[b], huber(tuning_profile=cutoffs[b]),
+                                         theta0=theta0) for b in range(B)])
+        np.testing.assert_array_equal(whole, rows)
+    with pytest.raises(DataFormatError, match="does not broadcast"):
+        solve_locations(values, mask, huber(tuning_profile=cutoffs[:, :-1]))
+    with pytest.raises(DataFormatError, match="does not broadcast"):
+        solve_locations(values[0], mask[0], huber(tuning_profile=cutoffs))
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4)])
+def test_loss_spec_rejects_bad_cutoff_arrays(shape, bad):
+    prof = np.ones(shape)
+    huber(tuning_profile=prof)  # any dimension is accepted
+    prof.flat[-1] = bad
+    with pytest.raises(ValueError, match="positive, finite"):
+        huber(tuning_profile=prof)
 
 
 def test_unobserved_point_is_nan():
@@ -217,6 +251,43 @@ def test_mad_cutoffs_interpolates_unobserved_columns(rng):
     assert np.all(np.isfinite(c)) and np.all(c > 0)
     with pytest.raises(NumericalError):
         mad_cutoffs(values, mask, 3.0)  # no points to interpolate over
+    with pytest.raises(ValueError, match="must be positive"):
+        mad_cutoffs(values, mask, 0.0, points=pts)
+
+
+def _nanmedian_cutoffs(values, mask, r, points):
+    """Reference MAD cutoffs by masked nanmedian, with interpolation."""
+    masked = np.where(mask, values, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
+        med = np.nanmedian(masked, axis=-2)
+        mad = np.nanmedian(np.abs(masked - med[..., None, :]), axis=-2)
+    c = np.maximum(r * mad, 1e-6)
+    for row in c.reshape(-1, c.shape[-1]):
+        bad = np.isnan(row)
+        row[bad] = np.maximum(np.interp(points[bad], points[~bad], row[~bad]), 1e-6)
+    return c
+
+
+def test_mad_cutoffs_equal_nanmedian_reference(rng):
+    B, n, J = 4, 9, 10
+    values = np.round(rng.standard_t(3, size=(B, n, J)), 1)  # rounding makes ties
+    mask = rng.random((B, n, J)) < 0.7
+    mask[..., 0] = True                        # odd count (9)
+    mask[..., 1] = True
+    mask[..., 0, 1] = False                    # even count (8)
+    values[..., 2] = 1.5                       # all ties: MAD 0, floored
+    mask[..., 3] = False
+    mask[..., 4, 3] = True                     # a single observed value
+    mask[..., 5] = False                       # nobody observes: interpolated
+    mask[..., 6] = False
+    mask[..., -1] = False                      # constant extension at the edge
+    values = np.where(mask, values, np.nan)
+    pts = np.linspace(0.0, 1.0, J)
+    ref = _nanmedian_cutoffs(values, mask, 2.5, pts)
+    np.testing.assert_array_equal(mad_cutoffs(values, mask, 2.5, points=pts), ref)
+    ds = matrix_dataset(Grid.from_unit_points(pts), values[0], mask[0])
+    np.testing.assert_array_equal(mad_profile(ds, 2.5).c_of_t, ref[0])
 
 
 def test_resolve_loss_materializes_scaled_huber(rng):
@@ -261,6 +332,45 @@ def test_influence_function_matches_refit_derivative(rng):
         th_eps = brentq(eq, values.min() - 1, values.max() + 31)
         oracle[j] = (th_eps - est.theta[j]) / eps
     rel = np.abs(formula - oracle) / np.maximum(np.abs(oracle), 1e-12)
+    assert rel.max() < 2e-2
+
+
+def test_influence_function_matches_refit_under_random_interval_mask():
+    """IF against the finite-eps weighted refit when curves are observed on
+    random windows; the contaminating curve is itself partially observed, and
+    its influence is zero where it is unobserved."""
+    from scipy.optimize import brentq
+
+    n, J, c = 200, 40, 0.8
+    # random windows almost never reach t = 0 or 1, so use cell midpoints
+    grid = Grid.from_unit_points((np.arange(J) + 0.5) / J)
+    scheme = random_interval(0.3, 0.3)
+    values = generate_curves(model_preset("model1"), n, grid, 311)
+    mask = generate_masks(scheme, n, grid, 312)
+    assert not mask.all() and mask.any(axis=0).all()
+    ds = matrix_dataset(grid, values, mask)
+    loss = huber(c)
+    est = fit_marginal(ds, loss)
+    y_mask = generate_masks(scheme, 1, grid, 313)[0]
+    assert y_mask.any() and not y_mask.all()
+    y_star = PartialCurve("y*", "0", np.where(y_mask, 30.0, np.nan), y_mask)
+    formula = influence_function(ds, loss, est.theta, y_star)
+
+    eps = 1e-4
+    oracle = np.empty(J)
+    for j in range(J):
+        xj = values[mask[:, j], j]
+
+        def eq(th):
+            # unobserved curves add zero score; the mean runs over all n
+            y_psi = float(psi(loss, 30.0 - th)) if y_mask[j] else 0.0
+            return (1 - eps) * float(np.sum(psi(loss, xj - th))) / n + eps * y_psi
+
+        th_eps = brentq(eq, xj.min() - 1.0, 31.0, xtol=1e-13)
+        oracle[j] = (th_eps - est.theta[j]) / eps
+    assert np.all(formula[~y_mask] == 0.0)
+    assert np.max(np.abs(oracle[~y_mask]), initial=0.0) < 1e-6
+    rel = np.abs(formula - oracle)[y_mask] / np.abs(oracle[y_mask])
     assert rel.max() < 2e-2
 
 
