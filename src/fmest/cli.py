@@ -95,8 +95,10 @@ def _cmd_fanova(args) -> int:
         raise DataFormatError(f"{args.data}: need at least 2 groups, found {labels}")
     groups = [dataset.subset_group(lab) for lab in labels]
     choice = parse_loss(args.loss)
-    result = anova_l2_test(groups, choice, args.B, args.seed,
-                           mixture_draws=args.mixture_draws)
+    if args.mixture_draws is not None:
+        print("warning: --mixture-draws is deprecated and ignored (the p-value is exact)",
+              file=sys.stderr)
+    result = anova_l2_test(groups, choice, args.B, args.seed)
     out = Path(args.out)
     payload = {
         "statistic": result.statistic,
@@ -106,7 +108,6 @@ def _cmd_fanova(args) -> int:
         "groups": result.groups,
         "group_labels": labels,
         "B": result.B,
-        "mixture_draws": result.mixture_draws,
     }
     with open(out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
@@ -115,7 +116,7 @@ def _cmd_fanova(args) -> int:
           f"({result.groups} groups, B={result.B})")
     _write_manifest(out, "fanova",
                     {"data": str(args.data), "loss": args.loss, "B": args.B,
-                     "group_col": args.group_col, "mixture_draws": args.mixture_draws},
+                     "group_col": args.group_col},
                     args.seed, [out], started)
     return 0
 
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fan.add_argument("--group-col", default="group")
     p_fan.add_argument("--loss", default="huber:0.8")
     p_fan.add_argument("--B", type=int, default=800, help="bootstrap replicates per group")
-    p_fan.add_argument("--mixture-draws", type=int, default=50_000)
+    p_fan.add_argument("--mixture-draws", type=int, help="deprecated and ignored")
     p_fan.add_argument("--seed", type=int, required=True)
     p_fan.add_argument("--out", required=True, help="output JSON")
     p_fan.set_defaults(func=_cmd_fanova)

@@ -126,20 +126,17 @@ def _flat_fixup(theta, values, mask, flat, c):
     the psi-sum is a whole interval delimited by the nearest breakpoints
     x_i +- c; the estimate is taken as that interval's midpoint (this is what
     makes tiny-cutoff huber agree with the midpoint median convention).
+    A side without any breakpoint leaves theta unchanged.
     """
-    c = np.broadcast_to(c, theta.shape)
-    for idx in np.argwhere(flat):
-        key = tuple(idx)
-        lead, j = key[:-1], key[-1]
-        col_mask = mask[(*lead, slice(None), j)]
-        x = values[(*lead, slice(None), j)][col_mask]
-        w = c[key]
-        bps = np.concatenate([x - w, x + w])
-        t0 = theta[key]
-        below = bps[bps <= t0]
-        above = bps[bps >= t0]
-        if below.size and above.size:
-            theta[key] = 0.5 * (np.max(below) + np.min(above))
+    t0 = theta[flat][:, None]
+    w = np.broadcast_to(c, theta.shape)[flat][:, None]
+    x = np.moveaxis(values, -2, -1)[flat]  # flagged columns, (F, n)
+    seen = np.tile(np.moveaxis(mask, -2, -1)[flat], 2)
+    bps = np.concatenate([x - w, x + w], axis=1)
+    below = np.max(bps, axis=1, where=seen & (bps <= t0), initial=-np.inf)
+    above = np.min(bps, axis=1, where=seen & (bps >= t0), initial=np.inf)
+    both = (below > -np.inf) & (above < np.inf)
+    theta[flat] = np.where(both, 0.5 * (below + above), t0[:, 0])
     return theta
 
 

@@ -10,9 +10,11 @@ is a percentile bootstrap for one linear functional of the location curve.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import quad
 
 from .data import Dataset, DataFormatError, Grid, PartialCurve, integrate
 from .estimator import (
@@ -30,7 +32,7 @@ from .losses import LossSpec, ScaledHuber, huber
 from .seeding import as_key, make_rng
 
 MIN_BOOTSTRAP = 100
-_MIXTURE_STREAM = 2 ** 40 + 7  # reserved label, clear of replicate indices
+TAIL_TOL = 1e-9  # largest error estimate accepted for the Imhof integral
 EIGEN_TRACE_SHARE = 0.999
 SYMMETRY_TOL = 1e-8
 
@@ -149,14 +151,14 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed,
 
 # -- chi-square mixture calibration --------------------------------------------
 
-def eigen_mixture(xi_star: np.ndarray, grid: Grid, k: int, M: int, seed):
-    """Normalized eigenvalues of the weighted covariance and a null sampler.
+def eigen_mixture(xi_star: np.ndarray, grid: Grid, k: int):
+    """Normalized eigenvalues of the weighted covariance and the null tail.
 
     The covariance is mapped to A = W^{1/2} xi W^{1/2} (W = diagonal trapezoid
     weights); eigenvalues are clamped at zero, truncated once they cover
     99.9% of the trace, and normalized by the trace, so they sum to ~1.
-    Returns (lambdas, sampler) where sampler(m) draws m variates of
-    sum_r lambda_r * chisq_{k-1, r}.
+    Returns (lambdas, tail) where tail(x) = P(sum_r lambda_r chisq_{k-1, r} >= x),
+    computed exactly by Imhof's characteristic-function inversion.
     """
     xi = np.asarray(xi_star, dtype=float)
     J = grid.size
@@ -180,14 +182,32 @@ def eigen_mixture(xi_star: np.ndarray, grid: Grid, k: int, M: int, seed):
     r_keep = int(np.searchsorted(cum, target) + 1)
     r_keep = min(r_keep, eigvals.size)
     lambdas = eigvals[:r_keep] / trace
-    key = as_key(seed)
+    nu = k - 1
+    # Imhof: p = 1/2 + (1/pi) Im int_0^inf cf(u) e^{-ixu/2} du / u, with
+    # cf(u) = prod_r (1 - i lambda_r u)^{-nu/2}.  On the real axis that
+    # integrand oscillates with an algebraic tail quad cannot resolve at low
+    # rank, so it is taken along the ray u = t e^{-i alpha}, where it is
+    # analytic and decays exponentially; the pole at 0 adds -alpha / pi.
+    # alpha caps |cf| on the ray, at most cos(alpha)^{-r nu / 2}, at 2.
+    alpha = float(np.arccos(2.0 ** (-2.0 / (nu * lambdas.size))))
+    ray = np.exp(-1j * alpha)
 
-    def sampler(m: int) -> np.ndarray:
-        rng = make_rng(key)
-        draws = rng.chisquare(k - 1, size=(int(m), lambdas.size))
-        return draws @ lambdas
+    def integrand(t: float, x: float) -> float:
+        u = t * ray
+        return np.exp(-0.5 * nu * np.sum(np.log1p(-1j * lambdas * u)) - 0.5j * x * u).imag / t
 
-    return lambdas, sampler
+    def tail(x: float) -> float:
+        if x <= 0:
+            return 1.0  # the mixture is nonnegative
+        value, err, *info = quad(integrand, 0.0, np.inf, args=(float(x),),
+                                 epsabs=0.01 * TAIL_TOL, epsrel=0.0, limit=200, full_output=1)
+        if len(info) > 1 or not err <= TAIL_TOL:
+            raise NumericalError(
+                f"chi-square mixture tail did not converge at statistic {x:.6g} "
+                f"(rank {lambdas.size}, error estimate {err:.3e})")
+        return float(np.clip(0.5 + (value - alpha) / np.pi, 0.0, 1.0))
+
+    return lambdas, tail
 
 
 # -- L2-norm group comparison ----------------------------------------------------
@@ -202,10 +222,9 @@ class TestResult:
     trace: float
     groups: int
     B: int
-    mixture_draws: int
 
 
-def anova_l2_test(groups, loss, B: int, seed, mixture_draws: int = 50_000,
+def anova_l2_test(groups, loss, B: int, seed, mixture_draws=None,
                   tol_root: float = DEFAULT_TOL_ROOT,
                   max_iter: int = DEFAULT_MAX_ITER) -> TestResult:
     """Test equality of the k location functions by the integrated
@@ -215,16 +234,17 @@ def anova_l2_test(groups, loss, B: int, seed, mixture_draws: int = 50_000,
     Group g's replicate b resamples on the substream (seed, g, b).  The
     pooled pointwise variance weights each group's bootstrap spread by its
     sample size, which keeps the normalization consistent for balanced and
-    unbalanced designs alike.
+    unbalanced designs alike.  ``mixture_draws`` is deprecated and ignored.
     """
+    if mixture_draws is not None:
+        warnings.warn("mixture_draws is ignored: the p-value is the exact "
+                      "chi-square mixture tail", DeprecationWarning, stacklevel=2)
     groups = list(groups)
     k = len(groups)
     if k < 2:
         raise DataFormatError("need at least 2 groups")
     if B < MIN_BOOTSTRAP:
         raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
-    if mixture_draws < 1:
-        raise DataFormatError("mixture_draws must be positive")
     grid = groups[0].grid
     for g, ds in enumerate(groups[1:], start=1):
         if not grid.same_points(ds.grid):
@@ -257,17 +277,11 @@ def anova_l2_test(groups, loss, B: int, seed, mixture_draws: int = 50_000,
         dev = ens.replicates - ens.replicates.mean(axis=0)
         xi += sizes[g] * (dev.T @ dev)
     xi /= k * B
+    lambdas, tail = eigen_mixture(xi, grid, k)  # rejects a trace that is not positive
     trace = float(np.dot(grid.weights, np.diag(xi)))
-    if not trace > 0:
-        raise NumericalError("bootstrap variance trace is not positive")
     statistic = numerator / trace
-
-    lambdas, sampler = eigen_mixture(xi, grid, k, mixture_draws, (*key, _MIXTURE_STREAM))
-    null_draws = sampler(mixture_draws)
-    p_value = (1.0 + float(np.count_nonzero(null_draws >= statistic))) / (mixture_draws + 1.0)
-    return TestResult(statistic=float(statistic), p_value=float(p_value),
-                      eigenvalues=lambdas, trace=trace, groups=k, B=B,
-                      mixture_draws=mixture_draws)
+    return TestResult(statistic=float(statistic), p_value=tail(statistic),
+                      eigenvalues=lambdas, trace=trace, groups=k, B=B)
 
 
 # -- percentile bootstrap for one linear functional -----------------------------

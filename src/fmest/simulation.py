@@ -271,7 +271,6 @@ class ScenarioConfig:
     alpha: float = 0.05
     threads: int = 1
     model_name: str = ""
-    mixture_draws: int = 50_000
 
     def __post_init__(self):
         if self.n < 2:

@@ -65,7 +65,17 @@ def test_fanova_identical_groups_null(tmp_path, two_group_csv, capsys):
     assert payload["statistic"] == 0.0
     assert payload["p_value"] >= 0.999
     assert payload["group_labels"] == ["a", "b"]
+    assert "mixture_draws" not in payload
     assert "p = " in capsys.readouterr().out
+    # the deprecated flag is accepted, ignored and reported on one stderr line
+    again = tmp_path / "again.json"
+    assert main(["fanova", "--data", str(two_group_csv), "--B", "100",
+                 "--mixture-draws", "2000", "--seed", "5", "--out", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--mixture-draws is deprecated" in err
+    manifest = json.loads((tmp_path / "again.json.manifest.json").read_text())
+    assert "mixture_draws" not in manifest["config"]
 
 
 def test_fanova_rejects_single_group(tmp_path, curves_csv):

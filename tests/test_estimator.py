@@ -11,6 +11,7 @@ from conftest import random_partial_dataset
 from fmest.data import DataFormatError, Grid, PartialCurve, matrix_dataset
 from fmest.estimator import (
     NumericalError,
+    _flat_fixup,
     STATUS_INTERPOLATED,
     STATUS_SOLVED,
     STATUS_UNDEFINED,
@@ -129,6 +130,61 @@ def test_per_replicate_cutoffs_equal_separate_solves(rng):
         solve_locations(values, mask, huber(tuning_profile=cutoffs[:, :-1]))
     with pytest.raises(DataFormatError, match="does not broadcast"):
         solve_locations(values[0], mask[0], huber(tuning_profile=cutoffs))
+
+
+def _flat_fixup_loop(theta, values, mask, flat, c):
+    """Column-by-column reference for the vectorized flat-root centering."""
+    c = np.broadcast_to(c, theta.shape)
+    for idx in np.argwhere(flat):
+        key = tuple(idx)
+        lead, j = key[:-1], key[-1]
+        col_mask = mask[(*lead, slice(None), j)]
+        x = values[(*lead, slice(None), j)][col_mask]
+        w = c[key]
+        bps = np.concatenate([x - w, x + w])
+        t0 = theta[key]
+        below = bps[bps <= t0]
+        above = bps[bps >= t0]
+        if below.size and above.size:
+            theta[key] = 0.5 * (np.max(below) + np.min(above))
+    return theta
+
+
+@pytest.mark.parametrize("lead", [(), (4,)])
+def test_flat_fixup_equals_column_loop(rng, lead):
+    """The vectorized fix-up reproduces the column loop bit for bit."""
+    n, J = 9, 14
+    shape = (*lead, n, J)
+    # few distinct levels, so most columns carry ties
+    values = rng.integers(-2, 3, size=shape) * 0.75
+    values += rng.normal(size=shape) * (rng.random(shape) < 0.3)
+    mask = rng.random(shape) < 0.6
+    mask[..., 0] = False
+    mask[..., 0, 0] = True  # a single observed curve
+    mask[..., 1] = False
+    mask[..., :2, 1] = True  # two distinct curves
+    values[..., :2, 1] = [-0.25, 1.5]
+    values[..., 2] = 0.7  # all tied
+    mask[..., 3] = False  # unobserved, never flagged
+    mask[..., 6] = True
+    values = np.where(mask, values, np.nan)
+    observed = mask.any(axis=-2)
+    theta = rng.uniform(-1.5, 1.5, size=observed.shape)
+    theta[..., 4] = -50.0  # below every breakpoint: no lower side
+    theta[..., 5] = 50.0  # above every breakpoint: no upper side
+    flat = observed & (rng.random(observed.shape) < 0.8)
+    flat[..., :7] = observed[..., :7]
+    cutoffs = [0.4, rng.uniform(1e-6, 1.0, size=J)]
+    if lead:
+        cutoffs.append(rng.uniform(1e-6, 1.0, size=(*lead, J)))
+    for c in cutoffs:
+        start = theta.copy()
+        start[..., 6] = values[..., 0, 6] + np.broadcast_to(c, theta.shape)[..., 6]  # on a breakpoint
+        got = _flat_fixup(start.copy(), values, mask, flat, c)
+        want = _flat_fixup_loop(start.copy(), values, mask, flat, c)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got[..., 4:7], start[..., 4:7])
+        assert not np.array_equal(got, start)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])

@@ -3,9 +3,13 @@ percentile intervals for probe coefficients."""
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import chi2
 
 from conftest import random_partial_dataset
+from fmest import inference
 from fmest.data import DataFormatError, Dataset, Grid, PartialCurve, integrate, matrix_dataset
+from fmest.estimator import NumericalError
 from fmest.inference import (
     anova_l2_test,
     bootstrap_ensemble,
@@ -135,7 +139,7 @@ def test_eigen_mixture_rank_one():
     grid = Grid.uniform(60)
     phi = np.sin(2 * np.pi * grid.points) + 0.3
     xi = np.outer(phi, phi)
-    lambdas, _ = eigen_mixture(xi, grid, k=2, M=100, seed=0)
+    lambdas, _ = eigen_mixture(xi, grid, k=2)
     assert lambdas.size == 1
     assert lambdas[0] == pytest.approx(1.0, abs=1e-10)
 
@@ -143,7 +147,7 @@ def test_eigen_mixture_rank_one():
 def test_eigen_mixture_identity_diagonal():
     grid = Grid.uniform(40)
     xi = np.eye(40)
-    lambdas, _ = eigen_mixture(xi, grid, k=2, M=100, seed=0)
+    lambdas, _ = eigen_mixture(xi, grid, k=2)
     # interior eigenvalues all equal 1/(J-1) after weighting; boundary
     # weights perturb just the two smallest
     assert lambdas[0] == pytest.approx(1.0 / 39, rel=1e-10)
@@ -155,18 +159,66 @@ def test_eigen_mixture_chisq_quantile():
     grid = Grid.uniform(30)
     phi = np.full(30, 2.0)
     xi = np.outer(phi, phi)
-    _, sampler = eigen_mixture(xi, grid, k=2, M=50_000, seed=1234)
-    draws = sampler(50_000)
-    q95 = np.quantile(draws, 0.95)
-    assert q95 == pytest.approx(3.841, abs=0.05)
+    _, tail = eigen_mixture(xi, grid, k=2)
+    assert tail(3.841459) == pytest.approx(0.05, abs=1e-7)
 
 
-def test_eigen_mixture_sampler_is_reproducible():
+def test_eigen_mixture_tail_is_reproducible():
     grid = Grid.uniform(20)
     xi = np.eye(20) * 0.5
-    _, s1 = eigen_mixture(xi, grid, k=3, M=10, seed=5)
-    _, s2 = eigen_mixture(xi, grid, k=3, M=10, seed=5)
-    np.testing.assert_array_equal(s1(1000), s2(1000))
+    _, t1 = eigen_mixture(xi, grid, k=3)
+    _, t2 = eigen_mixture(xi, grid, k=3)
+    assert t1(0.7) == t2(0.7) == t1(0.7)
+
+
+def _equal_weight_covariance(grid, r, rng):
+    """Covariance whose weighted form has r equal eigenvalues, so lambda = 1/r."""
+    v, _ = np.linalg.qr(rng.normal(size=(grid.size, r)))
+    u = v / np.sqrt(grid.weights)[:, None]
+    return u @ u.T
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_mixture_tail_single_weight_is_scaled_chisq(k):
+    grid = Grid.uniform(40)
+    phi = np.sin(2 * np.pi * grid.points) + 0.3
+    lambdas, tail = eigen_mixture(np.outer(phi, phi), grid, k=k)
+    assert lambdas.size == 1
+    for x in (1e-3, 0.1, 0.5, 1.0, 3.841459, 10.0, 40.0):
+        assert tail(x) == pytest.approx(chi2.sf(x / lambdas[0], k - 1), abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("r", [2, 7, 30])
+def test_mixture_tail_equal_weights_is_chisq(rng, k, r):
+    grid = Grid.uniform(60)
+    lambdas, tail = eigen_mixture(_equal_weight_covariance(grid, r, rng), grid, k=k)
+    np.testing.assert_allclose(lambdas, 1.0 / r, rtol=1e-12)
+    for x in (0.05, 0.5, 1.0, 2.0, 4.0):
+        assert tail(x) == pytest.approx(chi2.sf(r * x, r * (k - 1)), abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_mixture_tail_matches_monte_carlo(rng, k):
+    """A seeded 10^6-draw sum of weighted chi-squares agrees within 4 SE."""
+    grid = Grid.uniform(30)
+    L = rng.normal(size=(30, 6)) * np.array([3.0, 2.0, 1.0, 0.7, 0.4, 0.2])
+    lambdas, tail = eigen_mixture(L @ L.T, grid, k=k)
+    draws_rng = np.random.default_rng(4242)
+    draws = np.concatenate([draws_rng.chisquare(k - 1, size=(250_000, lambdas.size)) @ lambdas
+                            for _ in range(4)])
+    for x in np.quantile(draws, [0.05, 0.3, 0.5, 0.8, 0.95, 0.99]):
+        p_mc = np.mean(draws >= x)
+        se = np.sqrt(p_mc * (1 - p_mc) / draws.size)
+        assert abs(tail(x) - p_mc) <= 4 * se
+
+
+def test_mixture_tail_raises_when_quad_does_not_converge(monkeypatch):
+    grid = Grid.uniform(30)
+    _, tail = eigen_mixture(np.outer(np.ones(30), np.ones(30)), grid, k=2)
+    monkeypatch.setattr(inference, "quad", lambda *a, **kw: quad(*a, **{**kw, "limit": 1}))
+    with pytest.raises(NumericalError, match=r"statistic 1\.5 \(rank 1, error estimate"):
+        tail(1.5)
 
 
 def test_eigen_mixture_rejects_asymmetry():
@@ -174,7 +226,7 @@ def test_eigen_mixture_rejects_asymmetry():
     xi = np.eye(5)
     xi[0, 1] = 1e-3
     with pytest.raises(DataFormatError, match="asymmetric"):
-        eigen_mixture(xi, grid, k=2, M=10, seed=0)
+        eigen_mixture(xi, grid, k=2)
 
 
 def test_eigen_mixture_properties(rng):
@@ -182,7 +234,7 @@ def test_eigen_mixture_properties(rng):
     grid = Grid.uniform(25)
     A = rng.normal(size=(25, 25))
     xi = A @ A.T / 25
-    lambdas, _ = eigen_mixture(xi, grid, k=4, M=10, seed=2)
+    lambdas, _ = eigen_mixture(xi, grid, k=4)
     assert np.all(lambdas >= 0)
     assert np.all(np.diff(lambdas) <= 1e-15)
     assert 0.999 <= lambdas.sum() <= 1 + 1e-8
@@ -220,10 +272,12 @@ def test_anova_detects_large_shift(rng):
 
 def test_anova_result_invariants(rng):
     groups = _two_groups(rng)
-    res = anova_l2_test(groups, huber(0.8), B=100, seed=5, mixture_draws=2000)
-    assert 1.0 / 2001 <= res.p_value <= 1.0
+    with pytest.warns(DeprecationWarning, match="mixture_draws is ignored"):
+        res = anova_l2_test(groups, huber(0.8), B=100, seed=5, mixture_draws=2000)
+    assert 0.0 <= res.p_value <= 1.0
+    assert res.p_value == anova_l2_test(groups, huber(0.8), B=100, seed=5).p_value
     assert res.trace > 0
-    assert res.groups == 2 and res.B == 100 and res.mixture_draws == 2000
+    assert res.groups == 2 and res.B == 100
     assert np.all(res.eigenvalues >= 0)
     assert 0.999 <= res.eigenvalues.sum() <= 1 + 1e-8
 
@@ -270,18 +324,18 @@ def test_anova_validations(rng):
         anova_l2_test([groups[0], tiny], huber(0.8), B=100, seed=0)
 
 
-def test_p_value_monotone_in_statistic():
+def test_p_value_monotone_in_statistic(rng):
     grid = Grid.uniform(30)
     phi = np.full(30, 1.0)
-    _, sampler = eigen_mixture(np.outer(phi, phi), grid, k=2, M=20_000, seed=9)
-    draws = sampler(20_000)
-
-    def pv(t):
-        return (1.0 + np.count_nonzero(draws >= t)) / (20_000 + 1.0)
-
-    ts = [0.0, 0.5, 1.0, 2.0, 5.0]
-    ps = [pv(t) for t in ts]
-    assert all(p1 >= p2 for p1, p2 in zip(ps, ps[1:]))
+    A = rng.normal(size=(30, 30))
+    for xi, k in ((np.outer(phi, phi), 2), (A @ A.T / 30, 3)):
+        _, tail = eigen_mixture(xi, grid, k=k)
+        assert tail(0.0) == 1.0 and tail(-2.0) == 1.0
+        # steps stay far above the tail's ~1e-11 absolute accuracy
+        ps = [tail(t) for t in np.linspace(0.0, 8.0, 33)]
+        assert all(0.0 <= p <= 1.0 for p in ps)
+        assert all(p1 > p2 for p1, p2 in zip(ps, ps[1:]))
+        assert ps[-1] < 1e-2
 
 
 # -- trend intervals ---------------------------------------------------------------
