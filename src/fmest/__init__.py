@@ -29,7 +29,7 @@ from .losses import (
 from .estimator import (
     MEstimate,
     NumericalError,
-    TuningProfile,
+    fit,
     fit_marginal,
     influence_function,
     interpolate_undefined,

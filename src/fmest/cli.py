@@ -19,12 +19,7 @@ import numpy as np
 
 from . import __version__
 from .data import DataFormatError, Grid, integrate, load_csv
-from .estimator import (
-    NumericalError,
-    fit_marginal,
-    interpolate_undefined,
-    resolve_loss,
-)
+from .estimator import NumericalError, fit
 from .inference import anova_l2_test, parse_probe, trend_ci
 from .losses import parse_loss
 from .sampling import analytic_b, empirical_b, generate_masks, parse_scheme, sup_deviation
@@ -67,9 +62,7 @@ def _write_rows_csv(rows: list, columns: list, path: Path) -> None:
 def _cmd_estimate(args) -> int:
     started = _utcnow()
     dataset = load_csv(args.data)
-    choice = parse_loss(args.loss)
-    resolved = resolve_loss(choice, dataset)
-    est = interpolate_undefined(fit_marginal(dataset, resolved))
+    est = fit(dataset, parse_loss(args.loss))
     out = Path(args.out)
     t_src = dataset.grid.source_points
     with open(out, "w", encoding="utf-8", newline="") as fh:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,8 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class PartialCurve:
-    """One curve: values on the shared grid plus a 0/1 observation mask."""
+    """One curve as a row: values on the shared grid plus a 0/1 observation
+    mask.  Datasets store their curves as matrices; this is the row view."""
 
     id: str
     group: str
@@ -132,65 +134,95 @@ class PartialCurve:
         return int(self.mask.sum())
 
 
-@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Curves sharing one grid; ids are unique."""
+    """n curves on one grid, stored as (n, J) ``values`` and ``mask``
+    matrices with one id (unique) and one group label per curve.
 
-    grid: Grid
-    curves: tuple
+    ``values`` holds NaN wherever ``mask`` is False; those entries are never
+    read.  ``Dataset(grid, curves)`` stacks :class:`PartialCurve` rows.
+    """
 
-    def __post_init__(self):
-        curves = tuple(self.curves)
-        object.__setattr__(self, "curves", curves)
-        if not curves:
-            raise DataFormatError("dataset has no curves")
-        ids = [c.id for c in curves]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})[0]
-            raise DataFormatError(f"duplicate curve id {dup!r}")
+    def __init__(self, grid: Grid, curves):
+        curves = tuple(curves)
         for c in curves:
-            if c.values.size != self.grid.size:
+            if c.values.shape != grid.points.shape:
                 raise DataFormatError(f"curve {c.id!r} not aligned with grid")
+        shape = (len(curves), grid.size)
+        self._store(grid, np.reshape([c.values for c in curves], shape),
+                    np.reshape([c.mask for c in curves], shape),
+                    [c.id for c in curves], [c.group for c in curves])
+
+    @classmethod
+    def _from_arrays(cls, grid: Grid, values, mask, ids, groups) -> "Dataset":
+        """Dataset from (n, J) value/mask matrices; every dataset is built here."""
+        dataset = cls.__new__(cls)
+        dataset._store(grid, values, mask, ids, groups)
+        return dataset
+
+    def _store(self, grid: Grid, values, mask, ids, groups) -> None:
+        values = np.array(values, dtype=float)
+        mask = np.array(mask, dtype=bool)
+        ids = tuple(ids)
+        if values.ndim != 2 or mask.shape != values.shape:
+            first = f"curve {ids[0]!r}: " if ids else ""
+            raise DataFormatError(f"{first}values {values.shape} and mask {mask.shape} "
+                                  f"must be (n, J) matrices of one shape")
+        n = values.shape[0]
+        if n == 0:
+            raise DataFormatError("dataset has no curves")
+        if len(ids) != n:
+            lost = f"id {ids[n]!r} has no row" if len(ids) > n else f"row {len(ids)} has no id"
+            raise DataFormatError(f"{len(ids)} curve ids for {n} curves: {lost}")
+        if values.shape[1] != grid.size:
+            raise DataFormatError(f"curve {ids[0]!r} not aligned with grid")
+        empty = ~mask.any(axis=1)
+        if empty.any():
+            raise DataFormatError(f"curve {ids[np.argmax(empty)]!r} has no observed points")
+        bad = mask & ~np.isfinite(values)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise DataFormatError(f"curve {ids[i]!r} has non-finite observed values "
+                                  f"at grid point {j} (t={grid.points[j]:g})")
+        if len(set(ids)) != n:
+            seen = set()
+            dup = next(i for i in ids if i in seen or seen.add(i))
+            raise DataFormatError(f"duplicate curve id {dup!r}")
+        values[~mask] = np.nan  # sentinel, never read
+        self.grid = grid
+        self.values = _readonly(values)
+        self.mask = _readonly(mask)
+        self.ids = ids
+        self.groups = tuple(groups)
 
     @property
     def n(self) -> int:
-        return len(self.curves)
+        return len(self.ids)
 
     @cached_property
-    def values_matrix(self) -> np.ndarray:
-        """(n, J) float matrix, NaN at unobserved points."""
-        return _readonly(np.stack([c.values for c in self.curves]))
-
-    @cached_property
-    def mask_matrix(self) -> np.ndarray:
-        """(n, J) boolean observation matrix."""
-        return _readonly(np.stack([c.mask for c in self.curves]))
+    def curves(self) -> tuple:
+        """The curves as :class:`PartialCurve` rows."""
+        return tuple(PartialCurve(*row) for row in zip(self.ids, self.groups,
+                                                         self.values, self.mask))
 
     def group_labels(self) -> list:
         """Distinct group labels in order of first appearance."""
-        seen = {}
-        for c in self.curves:
-            seen.setdefault(c.group, None)
-        return list(seen)
+        return list(dict.fromkeys(self.groups))
 
     def subset_group(self, label: str) -> "Dataset":
-        curves = tuple(c for c in self.curves if c.group == label)
-        if not curves:
+        rows = [i for i, g in enumerate(self.groups) if g == label]
+        if not rows:
             raise DataFormatError(f"no curves with group {label!r}")
-        return Dataset(self.grid, curves)
+        return Dataset._from_arrays(self.grid, self.values[rows], self.mask[rows],
+                                    [self.ids[i] for i in rows], [label] * len(rows))
 
 
 def matrix_dataset(grid: Grid, values: np.ndarray, mask: np.ndarray,
                    group: str = DEFAULT_GROUP, ids=None) -> Dataset:
-    """Bundle (n, J) value/mask matrices into a Dataset."""
-    values = np.asarray(values, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    if ids is None:
-        ids = [str(i) for i in range(values.shape[0])]
-    curves = tuple(
-        PartialCurve(str(ids[i]), group, values[i], mask[i]) for i in range(values.shape[0])
-    )
-    return Dataset(grid, curves)
+    """Bundle (n, J) value/mask matrices into a Dataset; ids default to
+    "0", "1", ... and every curve gets ``group``."""
+    n = len(values)
+    ids = [str(i) for i in range(n)] if ids is None else [str(i) for i in ids]
+    return Dataset._from_arrays(grid, values, mask, ids, [group] * n)
 
 
 def integrate(f, grid: Grid) -> float:
@@ -214,14 +246,12 @@ def restrict_dataset(dataset: Dataset, lo: float, hi: float) -> Dataset:
         raise DataFormatError(f"restriction to [{lo:g}, {hi:g}] leaves fewer than 2 grid points")
     sub = Grid.from_unit_points(dataset.grid.points[keep],
                                 offset=dataset.grid.offset, scale=dataset.grid.scale)
-    curves = []
-    for c in dataset.curves:
-        m = c.mask[keep]
-        if m.any():
-            curves.append(PartialCurve(c.id, c.group, c.values[keep], m))
-    if not curves:
+    mask = dataset.mask[:, keep]
+    rows = mask.any(axis=1)
+    if not rows.any():
         raise DataFormatError("restriction removed every curve")
-    return Dataset(sub, tuple(curves))
+    return Dataset._from_arrays(sub, dataset.values[:, keep][rows], mask[rows],
+                                compress(dataset.ids, rows), compress(dataset.groups, rows))
 
 
 def load_csv(path) -> Dataset:
@@ -298,19 +328,18 @@ def load_csv(path) -> Dataset:
         )
     grid = Grid.from_source_points(t_sorted)
     index = {t: j for j, t in enumerate(t_sorted)}
-    curves = []
-    for cid, per in records.items():
-        values = np.full(t_sorted.size, np.nan)
-        mask = np.zeros(t_sorted.size, dtype=bool)
+    values = np.full((len(records), t_sorted.size), np.nan)
+    mask = np.zeros(values.shape, dtype=bool)
+    for i, per in enumerate(records.values()):
         for t, value in per.items():
             if value is not None:
                 j = index[t]
-                values[j] = value
-                mask[j] = True
-        if not mask.any():
-            raise DataFormatError(f"{path}: curve {cid!r} has no observed points")
-        curves.append(PartialCurve(cid, groups[cid], values, mask))
-    return Dataset(grid, tuple(curves))
+                values[i, j] = value
+                mask[i, j] = True
+    try:
+        return Dataset._from_arrays(grid, values, mask, records, groups.values())
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 def save_csv(dataset: Dataset, path) -> None:
@@ -321,12 +350,12 @@ def save_csv(dataset: Dataset, path) -> None:
     """
     path = Path(path)
     t_src = dataset.grid.source_points
+    groups = [g or DEFAULT_GROUP for g in dataset.groups]
+    rows, cols = np.nonzero(dataset.mask)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for curve in dataset.curves:
-            group = curve.group or DEFAULT_GROUP
-            for j in np.flatnonzero(curve.mask):
-                writer.writerow(
-                    [curve.id, group, _FMT % t_src[j], _FMT % curve.values[j]]
-                )
+        writer.writerows(
+            [dataset.ids[i], groups[i], _FMT % t_src[j], _FMT % v]
+            for i, j, v in zip(rows.tolist(), cols.tolist(), dataset.values[rows, cols])
+        )

@@ -28,8 +28,8 @@ STATUS_SOLVED = "solved"
 STATUS_INTERPOLATED = "interpolated"
 STATUS_UNDEFINED = "undefined"
 
-DEFAULT_TOL_ROOT = 1e-10
-DEFAULT_MAX_ITER = 200
+TOL_ROOT = 1e-10  # |psi-sum| tolerance per observing curve
+MAX_ITER = 200
 D_FLOOR = 1e-8
 C_FLOOR = 1e-6
 
@@ -50,14 +50,6 @@ class MEstimate:
     @property
     def is_complete(self) -> bool:
         return not np.any(self.status == STATUS_UNDEFINED)
-
-
-@dataclass(frozen=True, eq=False)
-class TuningProfile:
-    """Per-grid-point huber cutoff c(t) derived from the data."""
-
-    c_of_t: np.ndarray
-    r: float
 
 
 # -- array-level solvers ------------------------------------------------------
@@ -140,8 +132,7 @@ def _flat_fixup(theta, values, mask, flat, c):
     return theta
 
 
-def solve_locations(values, mask, loss: LossSpec, tol_root: float = DEFAULT_TOL_ROOT,
-                    max_iter: int = DEFAULT_MAX_ITER, theta0: np.ndarray | None = None) -> np.ndarray:
+def solve_locations(values, mask, loss: LossSpec, theta0: np.ndarray | None = None) -> np.ndarray:
     """Location estimates along axis -2 (curves) for every grid point.
 
     ``values`` may hold NaN at masked-out entries.  Returns an array of shape
@@ -184,7 +175,7 @@ def solve_locations(values, mask, loss: LossSpec, tol_root: float = DEFAULT_TOL_
         hi = hi + loss.h
 
     problem = _RootProblem(v0, mask.astype(float), loss, c)
-    tol_vec = tol_root * np.maximum(n_eff, 1)
+    tol_vec = TOL_ROOT * np.maximum(n_eff, 1)
     if theta0 is None:
         theta = 0.5 * (lo + hi)
     else:
@@ -194,7 +185,7 @@ def solve_locations(values, mask, loss: LossSpec, tol_root: float = DEFAULT_TOL_
     conv = ~active | (np.abs(g) <= tol_vec)
     eps = np.finfo(float).eps
 
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         if conv.all():
             break
         pos = g >= 0
@@ -249,25 +240,27 @@ def interpolate_rows(theta: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 # -- dataset-level API --------------------------------------------------------
 
-def resolve_loss(choice, dataset: Dataset, c_floor: float = C_FLOOR) -> LossSpec:
+def resolve_loss(choice, dataset: Dataset) -> LossSpec:
     """Materialize a loss choice; ScaledHuber gets its MAD-based profile here."""
     if isinstance(choice, ScaledHuber):
-        profile = mad_profile(dataset, choice.r, c_floor=c_floor)
-        return huber(tuning_profile=profile.c_of_t)
+        return huber(tuning_profile=mad_profile(dataset, choice.r))
     if isinstance(choice, LossSpec):
         return choice
     raise TypeError(f"not a loss: {choice!r}")
 
 
-def fit_marginal(dataset: Dataset, loss: LossSpec, tol_root: float = DEFAULT_TOL_ROOT,
-                 max_iter: int = DEFAULT_MAX_ITER) -> MEstimate:
+def fit(dataset: Dataset, choice) -> MEstimate:
+    """Pointwise M-fit of the dataset under a :class:`LossSpec` or
+    :class:`ScaledHuber`, with undefined points interpolated."""
+    return interpolate_undefined(fit_marginal(dataset, resolve_loss(choice, dataset)))
+
+
+def fit_marginal(dataset: Dataset, loss: LossSpec) -> MEstimate:
     """Pointwise M-fit of the dataset; undefined points are left NaN."""
-    values = dataset.values_matrix
-    mask = dataset.mask_matrix
-    n_eff = mask.sum(axis=0)
+    n_eff = dataset.mask.sum(axis=0)
     if not np.any(n_eff > 0):
         raise NumericalError("every grid point is unobserved")
-    theta = solve_locations(values, mask, loss, tol_root=tol_root, max_iter=max_iter)
+    theta = solve_locations(dataset.values, dataset.mask, loss)
     status = np.where(n_eff > 0, STATUS_SOLVED, STATUS_UNDEFINED).astype(object)
     return MEstimate(dataset.grid, theta, n_eff.astype(int), status)
 
@@ -286,17 +279,15 @@ def interpolate_undefined(estimate: MEstimate) -> MEstimate:
     return MEstimate(estimate.grid, theta, estimate.n_eff, status)
 
 
-def mad_profile(dataset: Dataset, r: float, c_floor: float = C_FLOOR) -> TuningProfile:
-    """Huber cutoffs c(t) = max(r * MAD(t), c_floor) of the whole dataset
-    (see :func:`mad_cutoffs`)."""
-    c = mad_cutoffs(dataset.values_matrix, dataset.mask_matrix, r, c_floor=c_floor,
-                    points=dataset.grid.points)
-    return TuningProfile(c_of_t=c, r=float(r))
+def mad_profile(dataset: Dataset, r: float) -> np.ndarray:
+    """Huber cutoffs c(t) = max(r * MAD(t), C_FLOOR) of the whole dataset,
+    shape (J,) (see :func:`mad_cutoffs`)."""
+    return mad_cutoffs(dataset.values, dataset.mask, r, points=dataset.grid.points)
 
 
 def mad_cutoffs(values: np.ndarray, mask: np.ndarray, r: float,
-                c_floor: float = C_FLOOR, points: np.ndarray | None = None) -> np.ndarray:
-    """Huber cutoffs c(t) = max(r * MAD(t), c_floor) along the curve axis;
+                points: np.ndarray | None = None) -> np.ndarray:
+    """Huber cutoffs c(t) = max(r * MAD(t), C_FLOOR) along the curve axis;
     shape (..., J).
 
     MAD is the raw median absolute deviation of the observed values about
@@ -308,12 +299,12 @@ def mad_cutoffs(values: np.ndarray, mask: np.ndarray, r: float,
         raise ValueError("scale factor r must be positive")
     med = _quantile_locations(values, mask, 0.5)
     mad = _quantile_locations(np.abs(values - med[..., None, :]), mask, 0.5)
-    c = np.maximum(r * mad, c_floor)
+    c = np.maximum(r * mad, C_FLOOR)
     if np.isnan(c).any():
         if points is None:
             raise NumericalError("undefined cutoffs need grid points to interpolate")
         c = interpolate_rows(c, points)
-        c = np.maximum(c, c_floor)
+        c = np.maximum(c, C_FLOOR)
     return c
 
 
@@ -332,8 +323,8 @@ def influence_function(dataset: Dataset, loss: LossSpec, theta_hat: np.ndarray,
         raise DataFormatError("theta_hat not aligned with grid")
     if not np.all(np.isfinite(theta_hat)):
         raise DataFormatError("theta_hat must be finite (interpolate undefined points first)")
-    values = dataset.values_matrix
-    mask = dataset.mask_matrix
+    values = dataset.values
+    mask = dataset.mask
     resid = np.where(mask, values, theta_hat) - theta_hat
     d = np.where(mask, loss_psi_dot(loss, resid), 0.0).sum(axis=0) / dataset.n
     low = d <= d_floor

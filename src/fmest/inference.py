@@ -16,19 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .data import Dataset, DataFormatError, Grid, PartialCurve, integrate
+from .data import Dataset, DataFormatError, Grid, integrate
 from .estimator import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL_ROOT,
     NumericalError,
-    fit_marginal,
+    fit,
     interpolate_rows,
-    interpolate_undefined,
     mad_cutoffs,
     resolve_loss,
     solve_locations,
 )
-from .losses import LossSpec, ScaledHuber, huber
+from .losses import ScaledHuber, huber
 from .seeding import as_key, make_rng
 
 MIN_BOOTSTRAP = 100
@@ -93,12 +90,10 @@ def _resample_indices(n: int, seed, replicate_index: int) -> np.ndarray:
 
 def resample(dataset: Dataset, seed, replicate_index: int) -> Dataset:
     """One with-replacement resample of whole curves (values + mask together)."""
-    idx = _resample_indices(dataset.n, seed, replicate_index)
-    curves = []
-    for pos, i in enumerate(idx):
-        src = dataset.curves[int(i)]
-        curves.append(PartialCurve(f"{pos}:{src.id}", src.group, src.values, src.mask))
-    return Dataset(dataset.grid, tuple(curves))
+    idx = _resample_indices(dataset.n, seed, replicate_index).tolist()
+    return Dataset._from_arrays(dataset.grid, dataset.values[idx], dataset.mask[idx],
+                                [f"{pos}:{dataset.ids[i]}" for pos, i in enumerate(idx)],
+                                [dataset.groups[i] for i in idx])
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,16 +106,14 @@ class BootstrapEnsemble:
 
 
 def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed,
-                       tol_root: float = DEFAULT_TOL_ROOT,
-                       max_iter: int = DEFAULT_MAX_ITER,
                        batch: int = 64) -> BootstrapEnsemble:
     """Fit the location on B whole-curve resamples (replicate b uses the
     substream (seed, b)).  Scaled-huber losses recompute their MAD cutoffs on
     every resample."""
     if B < MIN_BOOTSTRAP:
         raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
-    values = dataset.values_matrix
-    mask = dataset.mask_matrix
+    values = dataset.values
+    mask = dataset.mask
     n = dataset.n
     key = as_key(seed)
     idx = np.empty((B, n), dtype=np.int64)
@@ -131,8 +124,7 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed,
     warm = None
     if resolved.kind in ("huber", "squantile"):
         # replicate roots cluster around the full-sample fit, so start there
-        warm = solve_locations(values, mask, resolved, tol_root=tol_root,
-                               max_iter=max_iter)
+        warm = solve_locations(values, mask, resolved)
     for start in range(0, B, batch):
         stop = min(start + batch, B)
         sel = idx[start:stop]
@@ -143,8 +135,7 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed,
             # one cutoff profile per replicate, shape (stop - start, J)
             batch_loss = huber(tuning_profile=mad_cutoffs(v, m, loss.r,
                                                           points=dataset.grid.points))
-        out[start:stop] = solve_locations(v, m, batch_loss, tol_root=tol_root,
-                                          max_iter=max_iter, theta0=warm)
+        out[start:stop] = solve_locations(v, m, batch_loss, theta0=warm)
     out = interpolate_rows(out, dataset.grid.points)
     return BootstrapEnsemble(replicates=out, B=B, seed=key)
 
@@ -224,9 +215,7 @@ class TestResult:
     B: int
 
 
-def anova_l2_test(groups, loss, B: int, seed, mixture_draws=None,
-                  tol_root: float = DEFAULT_TOL_ROOT,
-                  max_iter: int = DEFAULT_MAX_ITER) -> TestResult:
+def anova_l2_test(groups, loss, B: int, seed, mixture_draws=None) -> TestResult:
     """Test equality of the k location functions by the integrated
     between-group sum of squares, bootstrap-normalized and calibrated
     against a chi-square mixture.
@@ -255,13 +244,7 @@ def anova_l2_test(groups, loss, B: int, seed, mixture_draws=None,
     n_total = float(sizes.sum())
     key = as_key(seed)
 
-    theta_hat = []
-    for ds in groups:
-        resolved = resolve_loss(loss, ds)
-        est = interpolate_undefined(fit_marginal(ds, resolved, tol_root=tol_root,
-                                                 max_iter=max_iter))
-        theta_hat.append(est.theta)
-    theta_hat = np.stack(theta_hat)
+    theta_hat = np.stack([fit(ds, loss).theta for ds in groups])
     # center on the first group's fit so byte-identical groups give SSR == 0
     # exactly instead of picking up grand-mean rounding noise
     dev = theta_hat - theta_hat[0]
@@ -272,8 +255,7 @@ def anova_l2_test(groups, loss, B: int, seed, mixture_draws=None,
     J = grid.size
     xi = np.zeros((J, J))
     for g, ds in enumerate(groups):
-        ens = bootstrap_ensemble(ds, loss, B, (*key, g), tol_root=tol_root,
-                                 max_iter=max_iter)
+        ens = bootstrap_ensemble(ds, loss, B, (*key, g))
         dev = ens.replicates - ens.replicates.mean(axis=0)
         xi += sizes[g] * (dev.T @ dev)
     xi /= k * B
@@ -305,9 +287,7 @@ class TrendCI:
 
 
 def trend_ci(dataset: Dataset, loss, probe, B: int, seed, alpha: float = 0.05,
-             probe_name: str = "", tol_root: float = DEFAULT_TOL_ROOT,
-             max_iter: int = DEFAULT_MAX_ITER,
-             ensemble: BootstrapEnsemble | None = None) -> TrendCI:
+             probe_name: str = "", ensemble: BootstrapEnsemble | None = None) -> TrendCI:
     """Percentile interval for integral( theta(t) * probe(t) dt ).
 
     Replicate b resamples on the substream (seed, b).  Pass ``ensemble`` to
@@ -323,13 +303,10 @@ def trend_ci(dataset: Dataset, loss, probe, B: int, seed, alpha: float = 0.05,
         raise DataFormatError("alpha must lie in (0, 1)")
     if B < MIN_BOOTSTRAP:
         raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
-    resolved = resolve_loss(loss, dataset)
-    est = interpolate_undefined(fit_marginal(dataset, resolved, tol_root=tol_root,
-                                             max_iter=max_iter))
+    est = fit(dataset, loss)
     coefficient = integrate(est.theta * probe, dataset.grid)
     if ensemble is None:
-        ensemble = bootstrap_ensemble(dataset, loss, B, seed, tol_root=tol_root,
-                                      max_iter=max_iter)
+        ensemble = bootstrap_ensemble(dataset, loss, B, seed)
     elif ensemble.B != B:
         raise DataFormatError("ensemble size does not match B")
     weighted = dataset.grid.weights * probe

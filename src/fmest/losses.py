@@ -62,14 +62,9 @@ class LossSpec:
             if self.h is None or not np.isfinite(self.h) or self.h <= 0:
                 raise ValueError("smoothing half-width h must be positive")
 
-    def cutoff(self, point_index=None):
-        """Huber cutoff at grid point ``point_index`` (indexing the last,
-        grid axis of a profile), or the whole cutoff when None."""
-        if self.tuning_profile is None:
-            return self.c
-        if point_index is None:
-            return self.tuning_profile
-        return self.tuning_profile[..., point_index]
+    def cutoff(self):
+        """Huber cutoff: the scalar ``c`` or the whole ``tuning_profile``."""
+        return self.c if self.tuning_profile is None else self.tuning_profile
 
     def describe(self) -> str:
         if self.kind == "square":
@@ -152,44 +147,37 @@ def _squantile_psi_dot(x, tau, h):
     return np.where(np.abs(x) < h, 1.0 / (2.0 * h), 0.0)
 
 
-def _resolve_c(loss: LossSpec, point_index):
-    c = loss.cutoff(point_index)
-    if c is None:
-        raise ValueError("huber loss has a per-point profile; pass point_index")
-    return c
-
-
-def rho(loss: LossSpec, x, point_index=None):
+def rho(loss: LossSpec, x):
     """Loss value(s) at residual(s) ``x``."""
     x = np.asarray(x, dtype=float)
     if loss.kind == "square":
         return x * x
     if loss.kind == "huber":
-        return _huber_rho(x, _resolve_c(loss, point_index))
+        return _huber_rho(x, loss.cutoff())
     if loss.kind == "quantile":
         return _quantile_rho(x, loss.tau)
     return _squantile_rho(x, loss.tau, loss.h)
 
 
-def psi(loss: LossSpec, x, point_index=None):
+def psi(loss: LossSpec, x):
     """Score (d rho / dx, one-sided at kinks) at residual(s) ``x``."""
     x = np.asarray(x, dtype=float)
     if loss.kind == "square":
         return 2.0 * x
     if loss.kind == "huber":
-        return _huber_psi(x, _resolve_c(loss, point_index))
+        return _huber_psi(x, loss.cutoff())
     if loss.kind == "quantile":
         return _quantile_psi(x, loss.tau)
     return _squantile_psi(x, loss.tau, loss.h)
 
 
-def psi_dot(loss: LossSpec, x, point_index=None):
+def psi_dot(loss: LossSpec, x):
     """A.e. derivative of psi at residual(s) ``x``."""
     x = np.asarray(x, dtype=float)
     if loss.kind == "square":
         return np.full_like(x, 2.0)
     if loss.kind == "huber":
-        return _huber_psi_dot(x, _resolve_c(loss, point_index))
+        return _huber_psi_dot(x, loss.cutoff())
     if loss.kind == "quantile":
         return np.zeros_like(x)
     return _squantile_psi_dot(x, loss.tau, loss.h)

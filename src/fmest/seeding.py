@@ -11,9 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-Seed = "int | tuple[int, ...]"
-
-
 def as_key(seed) -> tuple[int, ...]:
     """Normalize a seed (int or tuple of ints) to a tuple of nonnegative ints."""
     if isinstance(seed, (int, np.integer)):
@@ -26,11 +23,6 @@ def as_key(seed) -> tuple[int, ...]:
         if p < 0:
             raise ValueError(f"seed components must be nonnegative, got {p}")
     return parts
-
-
-def substream(seed, *labels: int) -> tuple[int, ...]:
-    """Key for a child stream, e.g. substream(seed, rep, 1) for rep's masks."""
-    return (*as_key(seed), *(int(x) for x in labels))
 
 
 def make_rng(seed) -> np.random.Generator:

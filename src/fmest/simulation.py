@@ -21,14 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import DataFormatError, Grid, integrate, matrix_dataset, restrict_dataset
-from .estimator import (
-    NumericalError,
-    STATUS_UNDEFINED,
-    MEstimate,
-    fit_marginal,
-    interpolate_undefined,
-    resolve_loss,
-)
+from .estimator import NumericalError, STATUS_UNDEFINED, MEstimate, fit
 from .inference import bootstrap_ensemble, parse_probe, trend_ci
 from .losses import parse_loss
 from .sampling import MissingScheme, generate_masks, parse_scheme
@@ -328,9 +321,7 @@ def run_ise_study(config: ScenarioConfig) -> list[dict]:
         mu = model_mean(config.model, dataset.grid.points)
         out = {}
         for text, choice in losses:
-            resolved = resolve_loss(choice, dataset)
-            est = interpolate_undefined(fit_marginal(dataset, resolved))
-            out[text] = ise(est, mu)
+            out[text] = ise(fit(dataset, choice), mu)
         return out
 
     per_rep = _run_reps(worker, config.repetitions, config.threads)

@@ -99,8 +99,51 @@ def test_matrix_dataset_shapes(rng):
     mask = np.ones((5, 6), dtype=bool)
     ds = matrix_dataset(grid, values, mask)
     assert ds.n == 5
-    assert ds.values_matrix.shape == (5, 6)
-    assert ds.mask_matrix.dtype == bool
+    assert ds.values.shape == (5, 6)
+    assert ds.mask.dtype == bool
+
+
+_ONES = np.ones((2, 4))
+_SEEN = np.ones((2, 4), dtype=bool)
+
+
+@pytest.mark.parametrize("values, mask, ids, match", [
+    (_ONES, np.array([[True] * 4, [False] * 4]), "ab", "curve 'b' has no observed points"),
+    (np.array([[1.0] * 4, [1.0, 1.0, np.inf, 1.0]]), _SEEN, "ab",
+     r"curve 'b' has non-finite observed values at grid point 2 \(t=0\.666667\)"),
+    (_ONES, _SEEN, "aa", "duplicate curve id 'a'"),
+    (_ONES, _SEEN, "abc", "3 curve ids for 2 curves: id 'c' has no row"),
+    (_ONES, _SEEN, "a", "1 curve ids for 2 curves: row 1 has no id"),
+    (np.ones(4), np.ones(4, dtype=bool), "abcd", r"curve 'a': values \(4,\) and mask \(4,\)"),
+    (_ONES, _SEEN[:, :3], "ab", r"curve 'a': values \(2, 4\) and mask \(2, 3\)"),
+    (np.ones((2, 5)), np.ones((2, 5), dtype=bool), "ab", "curve 'a' not aligned with grid"),
+])
+def test_matrix_dataset_errors_name_the_curve(values, mask, ids, match):
+    with pytest.raises(DataFormatError, match=match):
+        matrix_dataset(Grid.uniform(4), values, mask, ids=list(ids))
+
+
+def test_dataset_operations_build_no_curve_rows(monkeypatch, rng, tmp_path):
+    """Datasets are matrices: building, slicing, resampling and fitting one
+    constructs no PartialCurve."""
+    from fmest.estimator import fit
+    from fmest.inference import resample
+    from fmest.losses import ScaledHuber, huber
+
+    def refuse(self):
+        raise AssertionError("a PartialCurve was built")
+
+    monkeypatch.setattr(PartialCurve, "__post_init__", refuse)
+    grid = Grid.uniform(9)
+    mask = rng.random((12, 9)) < 0.7
+    mask[:, 4] = True
+    ds = matrix_dataset(grid, rng.normal(size=(12, 9)), mask, group="g")
+    sub = restrict_dataset(ds, 0.2, 0.8).subset_group("g")
+    save_csv(resample(sub, 3, 0), tmp_path / "boot.csv")
+    back = load_csv(tmp_path / "boot.csv")
+    assert back.n == sub.n
+    for choice in (huber(0.8), ScaledHuber(2.0)):
+        assert fit(back, choice).is_complete
 
 
 def test_restrict_dataset_drops_empty_curves():
@@ -163,6 +206,10 @@ def test_load_csv_errors_name_the_line(tmp_path):
     p3 = _write(tmp_path, "curve_id,group,t,value\na,g1,0.0,1.0\na,g2,0.5,1.0\n", "grp.csv")
     with pytest.raises(DataFormatError, match=r"grp\.csv:3.*conflicting groups"):
         load_csv(p3)
+    p_inf = _write(tmp_path, "curve_id,group,t,value\na,g,0.0,1.0\na,g,1.0,inf\n", "inf.csv")
+    with pytest.raises(DataFormatError,
+                       match=r"inf\.csv: curve 'a' has non-finite observed values at grid point 1"):
+        load_csv(p_inf)
     p4 = _write(tmp_path, "id,t,value\n", "hdr.csv")
     with pytest.raises(DataFormatError, match="malformed header"):
         load_csv(p4)
@@ -193,11 +240,11 @@ def test_save_load_round_trip(tmp_path, rng):
     save_csv(ds, p)
     back = load_csv(p)
     assert back.n == ds.n
-    np.testing.assert_array_equal(back.mask_matrix, ds.mask_matrix)
+    np.testing.assert_array_equal(back.mask, ds.mask)
     # values are written with 12 significant digits
-    obs = ds.mask_matrix
+    obs = ds.mask
     np.testing.assert_allclose(
-        back.values_matrix[obs], ds.values_matrix[obs], rtol=5e-12, atol=0
+        back.values[obs], ds.values[obs], rtol=5e-12, atol=0
     )
     np.testing.assert_allclose(back.grid.source_points, ds.grid.source_points, rtol=5e-12)
 
@@ -227,6 +274,6 @@ def test_round_trip_any_shape(tmp_path_factory, n, J, seed):
     p = tmp_path_factory.mktemp("rt") / "f.csv"
     save_csv(ds, p)
     back = load_csv(p)
-    np.testing.assert_array_equal(back.mask_matrix, ds.mask_matrix)
-    obs = ds.mask_matrix
-    np.testing.assert_allclose(back.values_matrix[obs], ds.values_matrix[obs], rtol=5e-12)
+    np.testing.assert_array_equal(back.mask, ds.mask)
+    obs = ds.mask
+    np.testing.assert_allclose(back.values[obs], ds.values[obs], rtol=5e-12)

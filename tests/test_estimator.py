@@ -290,10 +290,9 @@ def test_mad_profile_values(rng):
     ds = matrix_dataset(grid, values, mask)
     prof = mad_profile(ds, r=2.0)
     # raw MAD of column 0: median 2, |x - 2| = [2,1,0,1,8] -> MAD 1
-    assert prof.c_of_t[0] == pytest.approx(2.0)
+    assert prof[0] == pytest.approx(2.0)
     # constant columns have MAD 0 -> floored
-    assert prof.c_of_t[1] == pytest.approx(1e-6)
-    assert prof.r == 2.0
+    assert prof[1] == pytest.approx(1e-6)
     with pytest.raises(ValueError):
         mad_profile(ds, r=-1.0)
 
@@ -343,7 +342,7 @@ def test_mad_cutoffs_equal_nanmedian_reference(rng):
     ref = _nanmedian_cutoffs(values, mask, 2.5, pts)
     np.testing.assert_array_equal(mad_cutoffs(values, mask, 2.5, points=pts), ref)
     ds = matrix_dataset(Grid.from_unit_points(pts), values[0], mask[0])
-    np.testing.assert_array_equal(mad_profile(ds, 2.5).c_of_t, ref[0])
+    np.testing.assert_array_equal(mad_profile(ds, 2.5), ref[0])
 
 
 def test_resolve_loss_materializes_scaled_huber(rng):
@@ -351,8 +350,7 @@ def test_resolve_loss_materializes_scaled_huber(rng):
     resolved = resolve_loss(ScaledHuber(2.0), ds)
     assert resolved.kind == "huber"
     assert resolved.tuning_profile is not None
-    np.testing.assert_allclose(resolved.tuning_profile,
-                               mad_profile(ds, 2.0).c_of_t)
+    np.testing.assert_allclose(resolved.tuning_profile, mad_profile(ds, 2.0))
     assert resolve_loss(huber(0.8), ds).c == 0.8
     with pytest.raises(TypeError):
         resolve_loss("huber:0.8", ds)
@@ -436,8 +434,8 @@ def test_influence_function_bounded_by_cutoff_over_denominator(rng):
     est = interpolate_undefined(fit_marginal(ds, loss))
     y = PartialCurve("y", "0", np.full(15, 100.0), np.ones(15, dtype=bool))
     inf = influence_function(ds, loss, est.theta, y)
-    mask = ds.mask_matrix
-    resid = np.where(mask, ds.values_matrix, est.theta) - est.theta
+    mask = ds.mask
+    resid = np.where(mask, ds.values, est.theta) - est.theta
     d = (np.where(mask, np.abs(resid) <= 0.8, False)).sum(axis=0) / ds.n
     assert np.max(np.abs(inf)) <= 0.8 / d.min() + 1e-12
 

@@ -102,10 +102,10 @@ def test_resample_deterministic(rng):
     ds = random_partial_dataset(rng, n=10, J=5)
     a = resample(ds, 7, 3)
     b = resample(ds, 7, 3)
-    np.testing.assert_array_equal(a.values_matrix, b.values_matrix)
+    np.testing.assert_array_equal(a.values, b.values)
     c = resample(ds, 7, 4)
-    assert not np.array_equal(a.mask_matrix, c.mask_matrix) or \
-        not np.array_equal(a.values_matrix, c.values_matrix)
+    assert not np.array_equal(a.mask, c.mask) or \
+        not np.array_equal(a.values, c.values)
 
 
 def test_bootstrap_ensemble_shape_and_floor(rng):
@@ -318,8 +318,8 @@ def test_anova_validations(rng):
     other = random_partial_dataset(rng, n=10, J=13)
     with pytest.raises(DataFormatError, match="different grid"):
         anova_l2_test([groups[0], other], huber(0.8), B=100, seed=0)
-    tiny = matrix_dataset(groups[0].grid, groups[0].values_matrix[:1],
-                          groups[0].mask_matrix[:1])
+    tiny = matrix_dataset(groups[0].grid, groups[0].values[:1],
+                          groups[0].mask[:1])
     with pytest.raises(DataFormatError, match="at least 2 curves"):
         anova_l2_test([groups[0], tiny], huber(0.8), B=100, seed=0)
 

@@ -123,12 +123,12 @@ def test_loss_spec_validation():
 def test_tuning_profile_cutoff_lookup():
     prof = np.array([0.5, 1.0, 2.0])
     l = huber(tuning_profile=prof)
-    assert l.cutoff(2) == 2.0
     np.testing.assert_array_equal(l.cutoff(), prof)
+    assert huber(0.8).cutoff() == 0.8
     assert l.describe() == "huber:profile"
-    # without point_index the profile broadcasts over the trailing grid axis
+    # the profile broadcasts over the trailing grid axis
     np.testing.assert_array_equal(psi(l, np.full(3, 5.0)), prof)
-    assert psi(l, 5.0, point_index=0) == 0.5
+    np.testing.assert_array_equal(psi(l, np.full((2, 3), -5.0)), -np.tile(prof, (2, 1)))
 
 
 def test_describe():
