@@ -26,9 +26,10 @@ from .estimator import (
     solve_locations,
 )
 from .losses import ScaledHuber, huber
-from .seeding import as_key, make_rng
+from .seeding import as_key, make_rng, substreams
 
 MIN_BOOTSTRAP = 100
+BOOTSTRAP_BATCH = 64  # replicates per solve_locations call in bootstrap_ensemble
 TAIL_TOL = 1e-9  # largest error estimate accepted for the Imhof integral
 EIGEN_TRACE_SHARE = 0.999
 SYMMETRY_TOL = 1e-8
@@ -105,8 +106,7 @@ class BootstrapEnsemble:
     seed: tuple
 
 
-def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed,
-                       batch: int = 64) -> BootstrapEnsemble:
+def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsemble:
     """Fit the location on B whole-curve resamples (replicate b uses the
     substream (seed, b)).  Scaled-huber losses recompute their MAD cutoffs on
     every resample."""
@@ -117,16 +117,16 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed,
     n = dataset.n
     key = as_key(seed)
     idx = np.empty((B, n), dtype=np.int64)
-    for b in range(B):
-        idx[b] = _resample_indices(n, key, b)
+    for b, rng in enumerate(substreams(key, B)):
+        idx[b] = rng.integers(0, n, size=n)  # as _resample_indices(n, key, b)
     out = np.empty((B, dataset.grid.size))
     resolved = resolve_loss(loss, dataset)
     warm = None
     if resolved.kind in ("huber", "squantile"):
         # replicate roots cluster around the full-sample fit, so start there
         warm = solve_locations(values, mask, resolved)
-    for start in range(0, B, batch):
-        stop = min(start + batch, B)
+    for start in range(0, B, BOOTSTRAP_BATCH):
+        stop = min(start + BOOTSTRAP_BATCH, B)
         sel = idx[start:stop]
         v = values[sel]
         m = mask[sel]

@@ -10,13 +10,14 @@ available on request); the analytic coverage functions returned by
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import beta as beta_dist
 
 from .data import DataFormatError, Grid
-from .seeding import as_key, make_rng
+from .seeding import as_key, substreams
 
 SCHEME_KINDS = ("complete", "random-interval", "fixed-intervals", "snippet", "sparse")
 
@@ -136,51 +137,67 @@ def _interval_edges(scheme: MissingScheme):
     return (0.0, *scheme.breakpoints, 1.0)
 
 
-def _rescale(v: np.ndarray, eps: float) -> np.ndarray:
+def _rescale(v: float, eps: float) -> float:
     return eps + (1.0 - 2.0 * eps) * v
 
 
-def _draw_mask(scheme: MissingScheme, rng: np.random.Generator, points: np.ndarray) -> np.ndarray:
-    if scheme.kind == "random-interval":
-        v = _rescale(rng.beta(scheme.beta_a, scheme.beta_b, size=2), scheme.epsilon_trim)
-        lo, hi = min(v), max(v)
-        return (points >= lo) & (points <= hi)
+def _piece_spans(scheme: MissingScheme, points: list) -> list[tuple[int, int]]:
+    """Grid-index range [k0, k1) of each fixed-intervals piece: half-open
+    pieces, the last one closed."""
+    edges = _interval_edges(scheme)
+    spans = [(bisect_left(points, a), bisect_left(points, b))
+             for a, b in zip(edges[:-1], edges[1:])]
+    spans[-1] = (spans[-1][0], bisect_right(points, edges[-1]))
+    return spans
+
+
+def _draw_span(scheme: MissingScheme, rng: np.random.Generator, points: list,
+               pieces) -> tuple[int, int]:
+    """Grid-index range [k0, k1) inside one raw draw's observation window
+    (the sparse envelope); ``points`` is the sorted grid as floats."""
     if scheme.kind == "fixed-intervals":
-        edges = _interval_edges(scheme)
-        m = len(edges) - 1
-        j = int(rng.integers(0, m))
-        inside = (points >= edges[j]) & (points < edges[j + 1])
-        if j == m - 1:
-            inside |= points == edges[-1]
-        return inside
+        return pieces[int(rng.integers(0, len(pieces)))]
     if scheme.kind == "snippet":
-        start = rng.uniform(0.0, 1.0 - scheme.d)
-        return (points >= start) & (points <= start + scheme.d)
-    # sparse
-    v = _rescale(rng.beta(scheme.beta_a, scheme.beta_b, size=2), scheme.epsilon_trim)
-    lo, hi = min(v), max(v)
-    envelope = (points >= lo) & (points <= hi)
-    return envelope & (rng.random(points.size) < scheme.p)
+        lo = rng.uniform(0.0, 1.0 - scheme.d)
+        hi = lo + scheme.d
+    else:
+        v0, v1 = (_rescale(v, scheme.epsilon_trim)
+                  for v in rng.beta(scheme.beta_a, scheme.beta_b, size=2).tolist())
+        lo, hi = min(v0, v1), max(v0, v1)
+    return bisect_left(points, lo), bisect_right(points, hi)
 
 
 def generate_masks(scheme: MissingScheme, n: int, grid: Grid, rng_seed,
                    return_redraws: bool = False):
-    """(n, J) boolean masks; every row has at least one observed point."""
+    """(n, J) boolean masks; every row has at least one observed point.
+
+    Curve i draws on the substream (rng_seed, i), redraws included.  Each
+    draw is reduced to the index range of the grid points in its window,
+    and the masks are built from those ranges in one broadcast comparison.
+    """
     if n < 1:
         raise DataFormatError("need at least one curve")
-    points = grid.points
-    masks = np.zeros((n, points.size), dtype=bool)
     key = as_key(rng_seed)
-    redraws = 0
+    J = grid.size
     if scheme.kind == "complete":
-        masks[:] = True
+        masks = np.ones((n, J), dtype=bool)
         return (masks, 0) if return_redraws else masks
-    for i in range(n):
-        rng = make_rng((*key, i))
+    points = grid.points.tolist()
+    pieces = _piece_spans(scheme, points) if scheme.kind == "fixed-intervals" else None
+    sparse = scheme.kind == "sparse"
+    uniforms = np.empty((n, J)) if sparse else None
+    spans = []
+    redraws = 0
+    for i, rng in enumerate(substreams(key, n)):
         for _ in range(_MAX_REDRAWS):
-            m = _draw_mask(scheme, rng, points)
-            if m.any():
-                masks[i] = m
+            k0, k1 = _draw_span(scheme, rng, points, pieces)
+            if sparse:
+                uniforms[i] = rng.random(J)
+                observed = (uniforms[i, k0:k1] < scheme.p).any()
+            else:
+                observed = k0 < k1
+            if observed:
+                spans.append((k0, k1))
                 break
             redraws += 1
         else:
@@ -188,6 +205,11 @@ def generate_masks(scheme: MissingScheme, n: int, grid: Grid, rng_seed,
                 f"scheme {scheme.describe()} produced {_MAX_REDRAWS} empty masks in a row; "
                 f"it is incompatible with this grid"
             )
+    spans = np.array(spans)
+    cols = np.arange(J)
+    masks = (cols >= spans[:, :1]) & (cols < spans[:, 1:])
+    if sparse:
+        masks &= uniforms < scheme.p
     return (masks, redraws) if return_redraws else masks
 
 
@@ -247,25 +269,12 @@ def analytic_b(scheme: MissingScheme, grid: Grid) -> np.ndarray:
         raw = 1.0 - F ** 2 - (1.0 - F) ** 2
         return raw / (1.0 - _empty_prob(scheme, points))
     if scheme.kind == "fixed-intervals":
-        edges = _interval_edges(scheme)
-        m = len(edges) - 1
-        nonempty = []
-        for j in range(m):
-            inside = (points >= edges[j]) & (points < edges[j + 1])
-            if j == m - 1:
-                inside |= points == edges[-1]
-            nonempty.append(inside.any())
-        m_eff = sum(nonempty)
-        if m_eff == 0:
+        spans = [(k0, k1) for k0, k1 in _piece_spans(scheme, points.tolist()) if k0 < k1]
+        if not spans:
             raise DataFormatError("no interval contains a grid point")
         b = np.zeros_like(points)
-        for j in range(m):
-            if not nonempty[j]:
-                continue
-            inside = (points >= edges[j]) & (points < edges[j + 1])
-            if j == m - 1:
-                inside |= points == edges[-1]
-            b[inside] = 1.0 / m_eff
+        for k0, k1 in spans:
+            b[k0:k1] = 1.0 / len(spans)
         return b
     if scheme.kind == "snippet":
         d = scheme.d

@@ -91,6 +91,20 @@ def test_flat_interval_midpoint():
     assert solve_locations(x, m, huber(0.8))[0] == pytest.approx(0.4, abs=1e-12)
 
 
+@pytest.mark.xfail(strict=True, reason="a root on the edge of a flat huber interval skips "
+                                       "the midpoint fix-up (ROADMAP item 3)")
+@pytest.mark.parametrize("x, theta0, midpoint", [
+    # cold start: the psi-sum is 0 on [2.1, 2.5] and the iteration stops at 2.5
+    ([0.1, 3.5, 1.1, 5.9], None, 2.3),
+    # warm start on the edge: at theta0 = 1 the residual -1 sits on the kink
+    ([0.0, 10.0], np.array([1.0]), 5.0),
+], ids=["cold-start", "warm-start"])
+def test_flat_interval_edge_root_gets_midpoint(x, theta0, midpoint):
+    x = np.array(x)[:, None]
+    m = np.ones_like(x, dtype=bool)
+    assert solve_locations(x, m, huber(1.0), theta0=theta0)[0] == pytest.approx(midpoint, abs=1e-12)
+
+
 def test_solver_drives_psi_sum_to_zero(rng):
     values = rng.standard_cauchy(size=(6, 40, 25))
     mask = rng.random((6, 40, 25)) < 0.7

@@ -125,12 +125,34 @@ def test_bootstrap_ensemble_deterministic(rng):
         np.testing.assert_array_equal(a.replicates, b.replicates)
 
 
-def test_bootstrap_ensemble_batch_invariance(rng):
+def test_bootstrap_ensemble_batch_invariance(rng, monkeypatch):
     """Chunk size is an implementation knob, not part of the estimand."""
     ds = random_partial_dataset(rng, n=12, J=6)
-    a = bootstrap_ensemble(ds, huber(0.8), 130, 21, batch=64)
-    b = bootstrap_ensemble(ds, huber(0.8), 130, 21, batch=7)
+    a = bootstrap_ensemble(ds, huber(0.8), 130, 21)
+    monkeypatch.setattr(inference, "BOOTSTRAP_BATCH", 7)
+    b = bootstrap_ensemble(ds, huber(0.8), 130, 21)
     np.testing.assert_allclose(a.replicates, b.replicates, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", [21, (4, 2**33, 1)])
+def test_bootstrap_ensemble_draws_resample_curves(rng, monkeypatch, seed):
+    """Replicate b fits the curves resample(ds, seed, b) draws, in order."""
+    ds = random_partial_dataset(rng, n=12, J=6)
+    fitted = []
+    solve = inference.solve_locations
+
+    def spy(values, mask, loss, theta0=None):
+        if values.ndim == 3:  # one batch of replicates
+            fitted.extend(zip(values, mask))
+        return solve(values, mask, loss, theta0=theta0)
+
+    monkeypatch.setattr(inference, "solve_locations", spy)
+    bootstrap_ensemble(ds, huber(0.8), 130, seed)
+    assert len(fitted) == 130
+    for b, (values, mask) in enumerate(fitted):
+        boot = resample(ds, seed, b)
+        np.testing.assert_array_equal(values, boot.values)
+        np.testing.assert_array_equal(mask, boot.mask)
 
 
 # -- eigenvalue mixture ----------------------------------------------------------

@@ -19,6 +19,7 @@ from fmest.sampling import (
     snippet,
     sup_deviation,
 )
+from fmest.seeding import as_key, make_rng
 
 GRID = Grid.uniform(100)
 
@@ -70,6 +71,68 @@ def test_masks_deterministic_and_per_curve():
     np.testing.assert_array_equal(a, b[:10])
     c = generate_masks(random_interval(), 10, GRID, 10)
     assert not np.array_equal(a, c)
+
+
+def _reference_draw(scheme, rng, points):
+    """One raw mask draw as a (J,) array, on the curve's own generator."""
+    def rescale(v):
+        return scheme.epsilon_trim + (1.0 - 2.0 * scheme.epsilon_trim) * v
+
+    if scheme.kind == "fixed-intervals":
+        edges = (0.0, *scheme.breakpoints, 1.0)
+        m = len(edges) - 1
+        j = int(rng.integers(0, m))
+        inside = (points >= edges[j]) & (points < edges[j + 1])
+        if j == m - 1:
+            inside |= points == edges[-1]
+        return inside
+    if scheme.kind == "snippet":
+        start = rng.uniform(0.0, 1.0 - scheme.d)
+        return (points >= start) & (points <= start + scheme.d)
+    v = rescale(rng.beta(scheme.beta_a, scheme.beta_b, size=2))
+    window = (points >= min(v)) & (points <= max(v))
+    if scheme.kind == "random-interval":
+        return window
+    return window & (rng.random(points.size) < scheme.p)
+
+
+def _reference_masks(scheme, n, grid, seed):
+    """Per-curve reference: curve i redraws on make_rng((seed, i)) until
+    its mask observes a grid point."""
+    masks = np.zeros((n, grid.size), dtype=bool)
+    redraws = 0
+    for i in range(n):
+        rng = make_rng((*as_key(seed), i))
+        while not masks[i].any():
+            masks[i] = _reference_draw(scheme, rng, grid.points)
+            redraws += not masks[i].any()
+    return masks, redraws
+
+
+@pytest.mark.parametrize("scheme", [
+    random_interval(),
+    random_interval(2.0, 5.0, epsilon_trim=0.05),
+    random_interval(0.01, 0.01),  # endpoints often exactly 0 or 1, on grid points
+    fixed_intervals([0.5]),
+    fixed_intervals([0.1, 0.2, 0.5]),  # the middle piece misses the 5-point grid
+    snippet(0.2),
+    snippet(0.05, epsilon_trim=0.1),
+    bernoulli_sparse(0.1),
+    bernoulli_sparse(0.5, beta_a=5, beta_b=5, epsilon_trim=0.05),
+], ids=lambda s: s.describe() + f"-trim{s.epsilon_trim:g}")
+def test_masks_equal_per_curve_reference(scheme):
+    """Masks and redraw counts equal the per-curve make_rng loop bit for bit,
+    on grids with a point on a breakpoint, t = 1 exactly, and (J = 5) redraws."""
+    grids = [GRID, Grid.uniform(5), Grid.uniform(7),
+             Grid.from_unit_points([0.0, 0.1, 0.5, 0.93, 1.0 - 1e-13])]
+    for grid in grids:
+        for seed in (3, (11, 2**40), (0, 5, 1)):
+            masks, redraws = generate_masks(scheme, 150, grid, seed, return_redraws=True)
+            ref, ref_redraws = _reference_masks(scheme, 150, grid, seed)
+            np.testing.assert_array_equal(masks, ref)
+            assert redraws == ref_redraws
+            if grid.size == 5 and scheme.breakpoints != (0.5,):
+                assert redraws > 0  # both pieces of fixed-intervals:0.5 hold points
 
 
 def test_random_interval_is_contiguous():
