@@ -80,5 +80,6 @@ from .simulation import (
     read_scenario_config,
     run_coverage_study,
     run_ise_study,
+    run_size_study,
     smooth_mean,
 )

@@ -23,7 +23,7 @@ from .estimator import NumericalError, fit
 from .inference import anova_l2_test, parse_probe, trend_ci
 from .losses import parse_loss
 from .sampling import analytic_b, empirical_b, generate_masks, parse_scheme, sup_deviation
-from .simulation import read_scenario_config, run_coverage_study, run_ise_study
+from .simulation import read_scenario_config, run_study
 
 _NUM_FMT = "%.12g"
 
@@ -151,7 +151,7 @@ def _cmd_simulate(args) -> int:
         config = type(config)(**{**config.__dict__, "seed": args.seed})
     if args.threads is not None:
         config = type(config)(**{**config.__dict__, "threads": args.threads})
-    rows = run_ise_study(config) if study == "ise" else run_coverage_study(config)
+    rows = run_study(study, config)
     out = Path(args.out)
     _write_rows_csv(rows, ["scenario", "estimator", "probe", "metric", "value"], out)
     for row in rows:
@@ -163,7 +163,8 @@ def _cmd_simulate(args) -> int:
                      "n": config.n, "grid_size": config.grid_size,
                      "losses": list(config.losses), "B": config.B,
                      "R": config.repetitions, "probes": list(config.probes),
-                     "alpha": config.alpha, "threads": config.threads},
+                     "alpha": config.alpha, "shift": config.shift,
+                     "threads": config.threads},
                     config.seed, [out], started)
     return 0
 

@@ -10,7 +10,6 @@ is a percentile bootstrap for one linear functional of the location curve.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,7 +214,7 @@ class TestResult:
     B: int
 
 
-def anova_l2_test(groups, loss, B: int, seed, mixture_draws=None) -> TestResult:
+def anova_l2_test(groups, loss, B: int, seed) -> TestResult:
     """Test equality of the k location functions by the integrated
     between-group sum of squares, bootstrap-normalized and calibrated
     against a chi-square mixture.
@@ -223,11 +222,8 @@ def anova_l2_test(groups, loss, B: int, seed, mixture_draws=None) -> TestResult:
     Group g's replicate b resamples on the substream (seed, g, b).  The
     pooled pointwise variance weights each group's bootstrap spread by its
     sample size, which keeps the normalization consistent for balanced and
-    unbalanced designs alike.  ``mixture_draws`` is deprecated and ignored.
+    unbalanced designs alike.
     """
-    if mixture_draws is not None:
-        warnings.warn("mixture_draws is ignored: the p-value is the exact "
-                      "chi-square mixture tail", DeprecationWarning, stacklevel=2)
     groups = list(groups)
     k = len(groups)
     if k < 2:

@@ -20,9 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DataFormatError, Grid, integrate, matrix_dataset, restrict_dataset
+from .data import Dataset, DataFormatError, Grid, integrate, matrix_dataset, restrict_dataset
 from .estimator import NumericalError, STATUS_UNDEFINED, MEstimate, fit
-from .inference import bootstrap_ensemble, parse_probe, trend_ci
+from .inference import anova_l2_test, bootstrap_ensemble, parse_probe, trend_ci
 from .losses import parse_loss
 from .sampling import MissingScheme, generate_masks, parse_scheme
 from .seeding import as_key, make_rng
@@ -250,7 +250,12 @@ def ise(estimate, mu_true: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One Monte Carlo scenario (shared by the ISE and coverage studies)."""
+    """One Monte Carlo scenario, shared by the ISE, coverage and size studies.
+
+    Under the size study ``n`` counts the curves of each of the two groups
+    and ``shift`` is added to every curve of group 1; the other studies
+    ignore ``shift``.
+    """
 
     model: ProcessModel
     scheme: MissingScheme
@@ -262,6 +267,7 @@ class ScenarioConfig:
     seed: int = 0
     probes: tuple = ()
     alpha: float = 0.05
+    shift: float = 0.0
     threads: int = 1
     model_name: str = ""
 
@@ -276,6 +282,8 @@ class ScenarioConfig:
             raise DataFormatError("need at least one loss")
         if not 0 < self.alpha < 1:
             raise DataFormatError("alpha must lie in (0, 1)")
+        if not np.isfinite(self.shift):
+            raise DataFormatError("shift must be finite")
         if self.threads < 1:
             raise DataFormatError("threads must be >= 1")
         object.__setattr__(self, "losses", tuple(self.losses))
@@ -284,13 +292,16 @@ class ScenarioConfig:
             parse_loss(loss)  # fail fast on typos
 
 
-def _scenario_grid(config: ScenarioConfig) -> Grid:
-    return Grid.uniform(config.grid_size)
-
-
-def _analysis_window(scheme: MissingScheme):
-    eps = scheme.epsilon_trim
-    return (eps, 1.0 - eps) if eps > 0 else None
+def _draw_dataset(config: ScenarioConfig, grid: Grid, key: tuple,
+                  shift: float = 0.0) -> Dataset:
+    """``config.n`` curves on substream (*key, 0), moved by ``shift``, with
+    masks on (*key, 1); restricted to [eps, 1-eps] when the scheme carries
+    a trim."""
+    values = generate_curves(config.model, config.n, grid, (*key, 0))
+    masks = generate_masks(config.scheme, config.n, grid, (*key, 1))
+    dataset = matrix_dataset(grid, values + shift if shift else values, masks)
+    eps = config.scheme.epsilon_trim
+    return restrict_dataset(dataset, eps, 1.0 - eps) if eps > 0 else dataset
 
 
 def _run_reps(worker, repetitions: int, threads: int) -> list:
@@ -307,17 +318,12 @@ def run_ise_study(config: ScenarioConfig) -> list[dict]:
     (seed, r, 1); the analysis restricts to [eps, 1-eps] when the scheme
     carries a trim.
     """
-    grid = _scenario_grid(config)
-    window = _analysis_window(config.scheme)
+    grid = Grid.uniform(config.grid_size)
     losses = [(text, parse_loss(text)) for text in config.losses]
     key = as_key(config.seed)
 
     def worker(r: int) -> dict:
-        values = generate_curves(config.model, config.n, grid, (*key, r, 0))
-        masks = generate_masks(config.scheme, config.n, grid, (*key, r, 1))
-        dataset = matrix_dataset(grid, values, masks)
-        if window is not None:
-            dataset = restrict_dataset(dataset, *window)
+        dataset = _draw_dataset(config, grid, (*key, r))
         mu = model_mean(config.model, dataset.grid.points)
         out = {}
         for text, choice in losses:
@@ -353,17 +359,12 @@ def run_coverage_study(config: ScenarioConfig) -> list[dict]:
     """
     if not config.probes:
         raise DataFormatError("coverage study needs at least one probe")
-    grid = _scenario_grid(config)
-    window = _analysis_window(config.scheme)
+    grid = Grid.uniform(config.grid_size)
     losses = [(text, parse_loss(text)) for text in config.losses]
     key = as_key(config.seed)
 
     def worker(r: int) -> dict:
-        values = generate_curves(config.model, config.n, grid, (*key, r, 0))
-        masks = generate_masks(config.scheme, config.n, grid, (*key, r, 1))
-        dataset = matrix_dataset(grid, values, masks)
-        if window is not None:
-            dataset = restrict_dataset(dataset, *window)
+        dataset = _draw_dataset(config, grid, (*key, r))
         mu = model_mean(config.model, dataset.grid.points)
         out = {}
         for li, (text, choice) in enumerate(losses):
@@ -393,17 +394,63 @@ def run_coverage_study(config: ScenarioConfig) -> list[dict]:
     return rows
 
 
-# -- flat key=value scenario files -------------------------------------------------
+def run_size_study(config: ScenarioConfig) -> list[dict]:
+    """Rejection rate and p-value quartiles of the two-group L2 test.
 
-_STUDY_KINDS = ("ise", "coverage")
+    Repetition r draws group g in {0, 1} as ``config.n`` curves on substream
+    (seed, r, g, 0) and masks on (seed, r, g, 1), adds ``config.shift`` to
+    group 1 (0 gives the null, so the rate is the test's size; anything else
+    gives its power) and tests each loss on (seed, r, 2).
+    """
+    grid = Grid.uniform(config.grid_size)
+    losses = [(text, parse_loss(text)) for text in config.losses]
+    key = as_key(config.seed)
+
+    def worker(r: int) -> dict:
+        groups = [_draw_dataset(config, grid, (*key, r, g),
+                                shift=config.shift if g == 1 else 0.0)
+                  for g in range(2)]
+        return {text: anova_l2_test(groups, choice, config.B, (*key, r, 2)).p_value
+                for text, choice in losses}
+
+    per_rep = _run_reps(worker, config.repetitions, config.threads)
+    name = config.model_name or config.model.mean_kind
+    rows = []
+    for text, _ in losses:
+        p_values = np.array([rep[text] for rep in per_rep])
+        q25, q50, q75 = np.percentile(p_values, [25, 50, 75])
+        for metric, value in (("rejection_rate", np.mean(p_values < config.alpha)),
+                              ("p_value_q25", q25), ("p_value_q50", q50),
+                              ("p_value_q75", q75)):
+            rows.append({"scenario": name, "estimator": text, "probe": "",
+                         "metric": metric, "value": float(value)})
+    return rows
+
+
+# -- study kinds and flat key=value scenario files ---------------------------------
+
+_STUDY_KINDS = ("ise", "coverage", "size")
+
+
+def run_study(study: str, config: ScenarioConfig) -> list[dict]:
+    """Run the study kind a scenario file names: ise, coverage or size."""
+    if study == "ise":
+        return run_ise_study(config)
+    if study == "coverage":
+        return run_coverage_study(config)
+    if study == "size":
+        return run_size_study(config)
+    raise DataFormatError(f"study must be one of {_STUDY_KINDS}")
 
 
 def read_scenario_config(path) -> tuple[str, ScenarioConfig]:
     """Parse a flat ``key = value`` scenario file; returns (study, config).
 
-    Keys: study, model, scheme, trim, n, grid_size, losses, B, R, seed,
-    probes, alpha, threads.  List values (losses, probes) are separated by
-    semicolons, since loss specs may contain commas.
+    Keys: study (ise, coverage or size), model, scheme, trim, n, grid_size,
+    losses, B, R, seed, probes, alpha, shift, threads.  ``n`` counts the
+    curves per group under ``study = size``; ``shift`` applies only there.
+    List values (losses, probes) are separated by semicolons, since loss
+    specs may contain commas.
     """
     path = Path(path)
     try:
@@ -450,6 +497,7 @@ def read_scenario_config(path) -> tuple[str, ScenarioConfig]:
             seed=int(seed_raw),
             probes=tuple(s.strip() for s in take("probes", "").split(";") if s.strip()),
             alpha=float(take("alpha", "0.05")),
+            shift=float(take("shift", "0")),
             threads=int(take("threads", "1")),
             model_name=model_name,
         )
@@ -457,4 +505,6 @@ def read_scenario_config(path) -> tuple[str, ScenarioConfig]:
         raise DataFormatError(f"{path}: {exc}") from None
     if raw:
         raise DataFormatError(f"{path}: unknown keys {sorted(raw)}")
+    if config.shift and study != "size":
+        raise DataFormatError(f"{path}: shift applies only to study = size")
     return study, config

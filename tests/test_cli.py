@@ -149,6 +149,27 @@ def test_simulate_from_config(tmp_path, capsys):
     assert manifest["seed"] == 77
 
 
+def test_simulate_size_study(tmp_path):
+    cfg = tmp_path / "size.cfg"
+    cfg.write_text(
+        "study = size\nmodel = model1\nscheme = random-interval:0.3,0.3\n"
+        "n = 8\ngrid_size = 15\nlosses = huber:0.8; square\nB = 100\nR = 2\n"
+        "shift = 3\nseed = 5\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "size.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    metrics = ["rejection_rate", "p_value_q25", "p_value_q50", "p_value_q75"]
+    assert [(r["estimator"], r["metric"]) for r in rows] == \
+        [(loss, m) for loss in ("huber:0.8", "square") for m in metrics]
+    assert all(0.0 <= float(r["value"]) <= 1.0 for r in rows)
+    manifest = json.loads((tmp_path / "size.csv.manifest.json").read_text())
+    assert manifest["config"]["study"] == "size"
+    assert manifest["config"]["shift"] == 3.0
+
+
 def test_simulate_seed_and_thread_overrides(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(

@@ -294,8 +294,7 @@ def test_anova_detects_large_shift(rng):
 
 def test_anova_result_invariants(rng):
     groups = _two_groups(rng)
-    with pytest.warns(DeprecationWarning, match="mixture_draws is ignored"):
-        res = anova_l2_test(groups, huber(0.8), B=100, seed=5, mixture_draws=2000)
+    res = anova_l2_test(groups, huber(0.8), B=100, seed=5)
     assert 0.0 <= res.p_value <= 1.0
     assert res.p_value == anova_l2_test(groups, huber(0.8), B=100, seed=5).p_value
     assert res.trace > 0

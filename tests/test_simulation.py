@@ -5,9 +5,9 @@ import pytest
 
 from fmest.data import DataFormatError, Grid, integrate, matrix_dataset
 from fmest.estimator import fit_marginal
-from fmest.inference import quadratic_probe
-from fmest.losses import huber
-from fmest.sampling import complete, random_interval
+from fmest.inference import anova_l2_test, quadratic_probe
+from fmest.losses import huber, parse_loss
+from fmest.sampling import complete, generate_masks, random_interval
 from fmest.simulation import (
     ConstantScale,
     Contamination,
@@ -23,6 +23,7 @@ from fmest.simulation import (
     read_scenario_config,
     run_coverage_study,
     run_ise_study,
+    run_size_study,
     smooth_mean,
 )
 
@@ -144,11 +145,12 @@ def test_run_ise_study_rows():
 
 def test_run_ise_study_thread_invariance():
     base = dict(model=model_preset("model1"), scheme=random_interval(),
-                n=15, grid_size=25, losses=("huber:0.8",), repetitions=6,
-                seed=200, model_name="model1")
-    serial = run_ise_study(ScenarioConfig(threads=1, **base))
-    threaded = run_ise_study(ScenarioConfig(threads=3, **base))
-    assert serial == threaded
+                n=15, grid_size=25, losses=("huber:0.8",), B=100, repetitions=6,
+                seed=200, probes=("linear",), model_name="model1")
+    for driver in (run_ise_study, run_coverage_study, run_size_study):
+        serial = driver(ScenarioConfig(threads=1, **base))
+        threaded = driver(ScenarioConfig(threads=3, **base))
+        assert serial == threaded, driver.__name__
 
 
 def test_run_coverage_study_rows():
@@ -163,6 +165,39 @@ def test_run_coverage_study_rows():
     with pytest.raises(DataFormatError, match="needs at least one probe"):
         run_coverage_study(ScenarioConfig(model=model_preset("probe-gaussian"),
                                           scheme=complete(), probes=()))
+
+
+@pytest.mark.parametrize("shift", [0.0, 3.0])
+def test_run_size_study_matches_group_test_loop(shift):
+    """Same streams and numbers as a hand-written loop over the group test:
+    group g of repetition r on (seed, r, g, 0) curves and (seed, r, g, 1)
+    masks, the test on (seed, r, 2)."""
+    losses = ("huber:0.8", "square")
+    cfg = ScenarioConfig(model=model_preset("model1"), scheme=random_interval(),
+                         n=10, grid_size=20, losses=losses, B=100, repetitions=3,
+                         seed=777, alpha=0.5, shift=shift, model_name="model1")
+    grid = Grid.uniform(20)
+    p_values = {text: [] for text in losses}
+    for r in range(3):
+        groups = []
+        for g in range(2):
+            values = generate_curves(cfg.model, 10, grid, (777, r, g, 0))
+            if g == 1:
+                values = values + shift
+            masks = generate_masks(cfg.scheme, 10, grid, (777, r, g, 1))
+            groups.append(matrix_dataset(grid, values, masks, group=str(g)))
+        for text in losses:
+            res = anova_l2_test(groups, parse_loss(text), B=100, seed=(777, r, 2))
+            p_values[text].append(res.p_value)
+    expected = []
+    for text in losses:
+        p = np.array(p_values[text])
+        q25, q50, q75 = np.percentile(p, [25, 50, 75])
+        for metric, value in [("rejection_rate", np.mean(p < 0.5)), ("p_value_q25", q25),
+                              ("p_value_q50", q50), ("p_value_q75", q75)]:
+            expected.append({"scenario": "model1", "estimator": text, "probe": "",
+                             "metric": metric, "value": float(value)})
+    assert run_size_study(cfg) == expected
 
 
 def test_trim_restricts_analysis_window():
@@ -214,6 +249,15 @@ def test_read_scenario_config_errors(tmp_path):
         read_scenario_config(p)
     p.write_text("just a line\n", encoding="utf-8")
     with pytest.raises(DataFormatError, match="key = value"):
+        read_scenario_config(p)
+    p.write_text("study = power\nmodel = model1\nseed = 1\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="study must be one of"):
+        read_scenario_config(p)
+    p.write_text("study = size\nmodel = model1\nseed = 1\ngroups = 3\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="unknown keys.*groups"):
+        read_scenario_config(p)
+    p.write_text("study = ise\nmodel = model1\nseed = 1\nshift = 3\n", encoding="utf-8")
+    with pytest.raises(DataFormatError, match="shift applies only to study = size"):
         read_scenario_config(p)
     with pytest.raises(DataFormatError, match="cannot read"):
         read_scenario_config(tmp_path / "absent.cfg")
