@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .data import Dataset, DataFormatError, Grid, integrate
 from .estimator import (
@@ -32,6 +31,14 @@ BOOTSTRAP_BATCH = 64  # replicates per solve_locations call in bootstrap_ensembl
 TAIL_TOL = 1e-9  # largest error estimate accepted for the Imhof integral
 EIGEN_TRACE_SHARE = 0.999
 SYMMETRY_TOL = 1e-8
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on first use so that importing
+    fmest loads no scipy module."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(*args, **kwargs)
 
 
 # -- probes -------------------------------------------------------------------

@@ -14,7 +14,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .data import DataFormatError, Grid
 from .seeding import as_key, substreams
@@ -230,11 +229,26 @@ def sup_deviation(masks: np.ndarray, b_true: np.ndarray) -> float:
     return float(np.max(np.abs(masks.mean(axis=0) - b_true)))
 
 
-def _empty_prob(scheme: MissingScheme, points: np.ndarray) -> float:
-    """Probability that a raw draw observes no grid point (the redraw event)."""
+def _envelope_cdf(scheme: MissingScheme, points: np.ndarray) -> np.ndarray:
+    """Beta(beta_a, beta_b) CDF at the points mapped back from the trimmed
+    window: the chance that one raw endpoint falls at or below each point.
+
+    ``scipy.special.betainc`` is imported here, on first use, so that
+    importing fmest loads no scipy module; it is bit-equal to
+    ``scipy.stats.beta.cdf``.
+    """
+    from scipy.special import betainc
+
+    u = np.clip((points - scheme.epsilon_trim) / (1.0 - 2.0 * scheme.epsilon_trim), 0.0, 1.0)
+    return betainc(scheme.beta_a, scheme.beta_b, u)
+
+
+def _empty_prob(scheme: MissingScheme, points: np.ndarray, F: np.ndarray | None = None) -> float:
+    """Probability that a raw draw observes no grid point (the redraw event).
+
+    ``F`` is :func:`_envelope_cdf` at the points; random-interval needs it.
+    """
     if scheme.kind == "random-interval":
-        u = np.clip((points - scheme.epsilon_trim) / (1.0 - 2.0 * scheme.epsilon_trim), 0.0, 1.0)
-        F = beta_dist.cdf(u, scheme.beta_a, scheme.beta_b)
         gaps = np.diff(F)
         return float(F[0] ** 2 + (1.0 - F[-1]) ** 2 + np.sum(gaps ** 2))
     if scheme.kind == "snippet":
@@ -264,10 +278,9 @@ def analytic_b(scheme: MissingScheme, grid: Grid) -> np.ndarray:
     if scheme.kind == "complete":
         return np.ones_like(points)
     if scheme.kind == "random-interval":
-        u = np.clip((points - scheme.epsilon_trim) / (1.0 - 2.0 * scheme.epsilon_trim), 0.0, 1.0)
-        F = beta_dist.cdf(u, scheme.beta_a, scheme.beta_b)
+        F = _envelope_cdf(scheme, points)
         raw = 1.0 - F ** 2 - (1.0 - F) ** 2
-        return raw / (1.0 - _empty_prob(scheme, points))
+        return raw / (1.0 - _empty_prob(scheme, points, F))
     if scheme.kind == "fixed-intervals":
         spans = [(k0, k1) for k0, k1 in _piece_spans(scheme, points.tolist()) if k0 < k1]
         if not spans:
@@ -281,6 +294,5 @@ def analytic_b(scheme: MissingScheme, grid: Grid) -> np.ndarray:
         raw = np.clip(np.minimum(points, 1.0 - d) - np.maximum(0.0, points - d), 0.0, None) / (1.0 - d)
         return raw / (1.0 - _empty_prob(scheme, points))
     # sparse: Bernoulli(p) inside the raw envelope
-    u = np.clip((points - scheme.epsilon_trim) / (1.0 - 2.0 * scheme.epsilon_trim), 0.0, 1.0)
-    F = beta_dist.cdf(u, scheme.beta_a, scheme.beta_b)
+    F = _envelope_cdf(scheme, points)
     return scheme.p * (1.0 - F ** 2 - (1.0 - F) ** 2)

@@ -15,7 +15,7 @@ draw under the same seed.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -470,37 +470,46 @@ def read_scenario_config(path) -> tuple[str, ScenarioConfig]:
             raise DataFormatError(f"{path}:{lineno}: duplicate key {k!r}")
         raw[k] = v.strip()
 
-    def take(key, default=None):
-        return raw.pop(key, default)
+    def value(key, convert, default=None):
+        text = raw.pop(key, default)
+        if text is None:
+            raise DataFormatError(f"{path}: missing required key {key!r}")
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: {key}: {exc}") from None
 
-    study = take("study", "ise")
+    def spec_list(text):
+        return tuple(s.strip() for s in text.split(";") if s.strip())
+
+    def loss_list(text):
+        specs = spec_list(text)
+        for spec in specs:
+            parse_loss(spec)
+        return specs
+
+    study = value("study", str, "ise")
     if study not in _STUDY_KINDS:
         raise DataFormatError(f"{path}: study must be one of {_STUDY_KINDS}")
-    model_name = take("model")
-    if model_name is None:
-        raise DataFormatError(f"{path}: missing required key 'model'")
-    model = model_preset(model_name)
-    trim = float(take("trim", "0"))
-    scheme = parse_scheme(take("scheme", "complete"), epsilon_trim=trim)
-    seed_raw = take("seed")
-    if seed_raw is None:
-        raise DataFormatError(f"{path}: missing required key 'seed'")
+    model_name = raw.get("model")
+    scheme = value("scheme", parse_scheme, "complete")
+    fields = dict(
+        model=value("model", model_preset),
+        # the trim is validated by the scheme it applies to
+        scheme=value("trim", lambda t: replace(scheme, epsilon_trim=float(t)), "0"),
+        n=value("n", int, "80"),
+        grid_size=value("grid_size", int, "100"),
+        losses=value("losses", loss_list, "square;huber:0.8"),
+        B=value("B", int, "400"),
+        repetitions=value("R", int, "100"),
+        seed=value("seed", int),
+        probes=value("probes", spec_list, ""),
+        alpha=value("alpha", float, "0.05"),
+        shift=value("shift", float, "0"),
+        threads=value("threads", int, "1"),
+    )
     try:
-        config = ScenarioConfig(
-            model=model,
-            scheme=scheme,
-            n=int(take("n", "80")),
-            grid_size=int(take("grid_size", "100")),
-            losses=tuple(s.strip() for s in take("losses", "square;huber:0.8").split(";") if s.strip()),
-            B=int(take("B", "400")),
-            repetitions=int(take("R", "100")),
-            seed=int(seed_raw),
-            probes=tuple(s.strip() for s in take("probes", "").split(";") if s.strip()),
-            alpha=float(take("alpha", "0.05")),
-            shift=float(take("shift", "0")),
-            threads=int(take("threads", "1")),
-            model_name=model_name,
-        )
+        config = ScenarioConfig(**fields, model_name=model_name)
     except ValueError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
     if raw:

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fmest
 from conftest import random_partial_dataset
 from fmest.cli import main
 from fmest.data import Dataset, PartialCurve, save_csv
@@ -205,3 +210,65 @@ def test_masks_diagnostics(tmp_path, capsys):
 def test_version_exits_zero(capsys):
     assert main(["--version"]) == 0
     assert "fmest" in capsys.readouterr().out
+
+
+# -- scipy stays off the import path --------------------------------------------
+
+_SCIPY_PROBE = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+argv = json.loads(sys.argv[2])
+if argv:
+    from fmest.cli import main
+    assert main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def _scipy_loaded(module, argv=()):
+    """The scipy modules a fresh interpreter holds after importing ``module``
+    and, if ``argv`` is given, running ``fmest.cli.main(argv)``."""
+    src = str(Path(fmest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, module, json.dumps(list(argv))],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("module", ["fmest", "fmest.cli"])
+def test_import_loads_no_scipy(module):
+    assert _scipy_loaded(module) == set()
+
+
+def test_estimate_trend_simulate_load_no_scipy(tmp_path, curves_csv):
+    data, _ = curves_csv
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("study = ise\nmodel = model1\nscheme = random-interval:0.3,0.3\n"
+                   "n = 10\ngrid_size = 15\nlosses = huber:0.8\nR = 2\nseed = 3\n",
+                   encoding="utf-8")
+    for argv in (["estimate", "--data", str(data), "--loss", "huber-scaled:3",
+                  "--out", str(tmp_path / "fit.csv")],
+                 ["trend", "--data", str(data), "--probe", "linear", "--B", "100",
+                  "--seed", "1", "--out", str(tmp_path / "ci.json")],
+                 ["simulate", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]):
+        assert _scipy_loaded("fmest.cli", argv) == set(), argv[0]
+
+
+def test_masks_and_fanova_load_scipy_on_first_use(tmp_path, rng):
+    a = random_partial_dataset(rng, n=10, J=12, group="a")
+    b = random_partial_dataset(rng, n=10, J=12, group="b")
+    groups = tmp_path / "groups.csv"
+    save_csv(Dataset(a.grid, a.curves + tuple(
+        PartialCurve(c.id + "b", "b", c.values, c.mask) for c in b.curves)), groups)
+    masks = _scipy_loaded("fmest.cli", [
+        "masks", "--scheme", "random-interval:0.3,0.3", "--n", "50", "--grid-size", "20",
+        "--seed", "4", "--out", str(tmp_path / "b.csv")])
+    assert "scipy.special" in masks
+    assert not {"scipy.integrate", "scipy.stats"} & masks
+    fanova = _scipy_loaded("fmest.cli", [
+        "fanova", "--data", str(groups), "--B", "100", "--seed", "1",
+        "--out", str(tmp_path / "r.json")])
+    assert "scipy.integrate" in fanova
+    assert "scipy.stats" not in fanova

@@ -229,6 +229,36 @@ def test_analytic_b_conditions_on_nonempty_draws():
     assert sup_deviation(masks, b) < 0.02
 
 
+def _reference_b(scheme, points):
+    """The random-interval and sparse closed forms on scipy.stats.beta.cdf."""
+    from scipy.stats import beta
+
+    eps = scheme.epsilon_trim
+    F = beta.cdf(np.clip((points - eps) / (1.0 - 2.0 * eps), 0.0, 1.0),
+                 scheme.beta_a, scheme.beta_b)
+    raw = 1.0 - F ** 2 - (1.0 - F) ** 2
+    if scheme.kind == "sparse":
+        return scheme.p * raw
+    empty = float(F[0] ** 2 + (1.0 - F[-1]) ** 2 + np.sum(np.diff(F) ** 2))
+    return raw / (1.0 - empty)
+
+
+@pytest.mark.parametrize("grid", [
+    Grid.uniform(5),
+    GRID,
+    Grid.from_unit_points(np.linspace(0.0, 1.0, 40) ** 3),
+], ids=["J5", "J100", "cubed"])
+@pytest.mark.parametrize("eps", [0.0, 0.05])
+def test_analytic_b_matches_scipy_stats_beta(grid, eps):
+    """The Beta CDF comes from scipy.special.betainc; the closed forms are
+    bit-equal to the same formulas on scipy.stats.beta.cdf."""
+    for a, b in [(0.01, 0.01), (0.3, 0.3), (1.0, 1.0), (2.5, 0.5), (0.5, 2.5), (1.7, 2.2),
+                 (2.5, 2.5)]:
+        for scheme in (random_interval(a, b, eps), bernoulli_sparse(0.4, a, b, eps)):
+            np.testing.assert_array_equal(analytic_b(scheme, grid),
+                                          _reference_b(scheme, grid.points))
+
+
 def test_root_n_rate_of_sup_deviation():
     """median(sqrt(n) * W_n) stays within a factor 2 across n = 50..800."""
     scheme = random_interval()

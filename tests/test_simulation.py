@@ -261,6 +261,13 @@ def test_read_scenario_config_errors(tmp_path):
         read_scenario_config(p)
     with pytest.raises(DataFormatError, match="cannot read"):
         read_scenario_config(tmp_path / "absent.cfg")
+    for key, value in [("trim", "abc"), ("trim", "0.7"), ("scheme", "random-interval:0.3"),
+                       ("model", "model9"), ("n", "abc"), ("B", "4.5"), ("alpha", "x"),
+                       ("seed", "one"), ("losses", "hubr")]:
+        keys = {"model": "model1", "seed": "1", key: value}
+        p.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()), encoding="utf-8")
+        with pytest.raises(DataFormatError, match=rf"bad\.cfg: {key}: "):
+            read_scenario_config(p)
 
 
 def test_model_mean_dispatch():
