@@ -54,11 +54,18 @@ class MEstimate:
 
 # -- array-level solvers ------------------------------------------------------
 
-def _quantile_locations(values: np.ndarray, mask: np.ndarray, tau: float) -> np.ndarray:
+def _quantile_locations(values: np.ndarray, mask: np.ndarray, tau: float,
+                        scratch: np.ndarray | None = None) -> np.ndarray:
     """Exact weighted tau-quantile along the curve axis (lower convention,
-    midpoint averaging when tau * n_eff splits the mass exactly)."""
-    big = np.where(mask, values, np.inf)
-    srt = np.sort(big, axis=-2)
+    midpoint averaging when tau * n_eff splits the mass exactly).
+
+    ``scratch``, an array of ``values``' shape that is neither ``values`` nor
+    ``mask``, receives the sorted columns; by default a new one is allocated.
+    """
+    srt = np.empty(np.shape(values)) if scratch is None else scratch
+    srt.fill(np.inf)
+    np.copyto(srt, values, where=mask)
+    srt.sort(axis=-2)
     m = mask.sum(axis=-2)
     km = tau * m
     k_round = np.rint(km)
@@ -72,16 +79,48 @@ def _quantile_locations(values: np.ndarray, mask: np.ndarray, tau: float) -> np.
     return np.where(m > 0, theta, np.nan)
 
 
+@dataclass(frozen=True)
+class _Workspace:
+    """Scratch arrays of one (..., n, J) shape for the MAD and root solves.
+
+    ``v0`` and ``maskf`` hold the solve's zero-filled values and float mask,
+    ``r`` and ``p`` its residual and clip buffers, ``hit`` its slope
+    indicator.  MAD sorts in ``r`` and forms |x - med| in ``p``: both are dead
+    until a solve starts.  A batched loop allocates one workspace and passes
+    ``head(k)`` views of it, so that the large temporaries are not freed and
+    faulted in again on every batch.  Fits that run concurrently need
+    workspaces of their own.
+    """
+
+    v0: np.ndarray
+    maskf: np.ndarray
+    r: np.ndarray
+    p: np.ndarray
+    hit: np.ndarray
+
+    @classmethod
+    def empty(cls, shape) -> "_Workspace":
+        return cls(*(np.empty(shape) for _ in range(4)), np.empty(shape, dtype=bool))
+
+    def head(self, k: int) -> "_Workspace":
+        """Views of the first ``k`` entries along the leading axis."""
+        return _Workspace(**{name: a[:k] for name, a in vars(self).items()})
+
+
 class _RootProblem:
-    """Reusable buffers and fused scoring for the bracketed root solve.
+    """Workspace buffers and fused scoring for the bracketed root solve.
 
     For both kinked losses the score is a clip of an affine function z of the
     residual, so the Newton slope indicator comes for free as (psi == z).
     """
 
-    def __init__(self, values0, maskf, loss: LossSpec, c):
-        self.v0 = values0
-        self.maskf = maskf
+    def __init__(self, values, mask, loss: LossSpec, c, work: _Workspace):
+        self.v0 = work.v0
+        self.v0.fill(0.0)
+        np.copyto(self.v0, values, where=mask)
+        self.maskf = work.maskf
+        np.copyto(self.maskf, mask)
+        self.mask = mask
         self.kind = loss.kind
         if np.ndim(c) == 0:
             self.cb = float(c)
@@ -90,9 +129,17 @@ class _RootProblem:
             self.cb = c[..., None, :] if c.ndim > 1 else c
         if self.kind == "squantile":
             self.tau, self.h = loss.tau, loss.h
-        self._r = np.empty_like(values0)
+        self._r = work.r
         self._z = self._r  # alias: z overwrites the residual buffer
-        self._p = np.empty_like(values0)
+        self._p = work.p
+        self._hit = work.hit
+
+    def _slope_count(self, z):
+        """Observed entries where psi is on its linear piece, (..., J) floats
+        (exact integer counts)."""
+        np.equal(self._p, z, out=self._hit)
+        np.logical_and(self._hit, self.mask, out=self._hit)
+        return self._hit.sum(axis=-2, dtype=float)
 
     def score(self, theta):
         """(psi-sum, slope) where slope = -d(psi-sum)/d theta >= 0."""
@@ -100,14 +147,14 @@ class _RootProblem:
         if self.kind == "huber":
             np.clip(self._r, -self.cb, self.cb, out=self._p)
             g = np.einsum("...nj,...nj->...j", self._p, self.maskf)
-            s = np.einsum("...nj,...nj->...j", self._p == self._r, self.maskf)
+            s = self._slope_count(self._r)
         else:
             inv = 1.0 / (2.0 * self.h)
             np.multiply(self._r, inv, out=self._z)
             self._z += self.tau - 0.5
             np.clip(self._z, self.tau - 1.0, self.tau, out=self._p)
             g = np.einsum("...nj,...nj->...j", self._p, self.maskf)
-            s = np.einsum("...nj,...nj->...j", self._p == self._z, self.maskf) * inv
+            s = self._slope_count(self._z) * inv
         return g, s
 
 
@@ -132,7 +179,8 @@ def _flat_fixup(theta, values, mask, flat, c):
     return theta
 
 
-def solve_locations(values, mask, loss: LossSpec, theta0: np.ndarray | None = None) -> np.ndarray:
+def solve_locations(values, mask, loss: LossSpec, theta0: np.ndarray | None = None, *,
+                    work: _Workspace | None = None) -> np.ndarray:
     """Location estimates along axis -2 (curves) for every grid point.
 
     ``values`` may hold NaN at masked-out entries.  Returns an array of shape
@@ -140,7 +188,10 @@ def solve_locations(values, mask, loss: LossSpec, theta0: np.ndarray | None = No
     huber ``tuning_profile`` must broadcast against that shape: (J,) shares
     one cutoff profile, (B, J) gives each of B stacked fits its own.
     ``theta0`` warm-starts the kinked-loss root solve (clipped into the data
-    bracket); it does not change what is being solved.
+    bracket); it does not change what is being solved.  ``work``, a
+    workspace of ``values``' shape, holds the solve's scratch arrays (by
+    default they are allocated per call); it changes no result bit.
+    ``values`` and ``mask`` are never written.
     """
     mask = np.asarray(mask, dtype=bool)
     values = np.asarray(values, dtype=float)
@@ -156,7 +207,8 @@ def solve_locations(values, mask, loss: LossSpec, theta0: np.ndarray | None = No
         return np.where(active, theta, np.nan)
 
     if loss.kind == "quantile":
-        return _quantile_locations(values, mask, loss.tau)
+        return _quantile_locations(values, mask, loss.tau,
+                                   scratch=None if work is None else work.r)
 
     c = loss.h if loss.kind == "squantile" else loss.cutoff()
     try:
@@ -164,9 +216,8 @@ def solve_locations(values, mask, loss: LossSpec, theta0: np.ndarray | None = No
     except ValueError:
         raise DataFormatError(f"cutoff of shape {np.shape(c)} does not broadcast "
                               f"against the fitted shape {n_eff.shape}") from None
-    v0 = np.where(mask, values, 0.0)
-    lo = np.min(np.where(mask, values, np.inf), axis=-2)
-    hi = np.max(np.where(mask, values, -np.inf), axis=-2)
+    lo = np.min(values, axis=-2, where=mask, initial=np.inf)
+    hi = np.max(values, axis=-2, where=mask, initial=-np.inf)
     lo = np.where(active, lo, 0.0)
     hi = np.where(active, hi, 0.0)
     if loss.kind == "squantile":
@@ -174,7 +225,9 @@ def solve_locations(values, mask, loss: LossSpec, theta0: np.ndarray | None = No
         lo = lo - loss.h
         hi = hi + loss.h
 
-    problem = _RootProblem(v0, mask.astype(float), loss, c)
+    if work is None:
+        work = _Workspace.empty(values.shape)
+    problem = _RootProblem(values, mask, loss, c, work)
     tol_vec = TOL_ROOT * np.maximum(n_eff, 1)
     if theta0 is None:
         theta = 0.5 * (lo + hi)
@@ -286,19 +339,26 @@ def mad_profile(dataset: Dataset, r: float) -> np.ndarray:
 
 
 def mad_cutoffs(values: np.ndarray, mask: np.ndarray, r: float,
-                points: np.ndarray | None = None) -> np.ndarray:
+                points: np.ndarray | None = None, *,
+                work: _Workspace | None = None) -> np.ndarray:
     """Huber cutoffs c(t) = max(r * MAD(t), C_FLOOR) along the curve axis;
     shape (..., J).
 
     MAD is the raw median absolute deviation of the observed values about
     their pointwise median (no normal-consistency factor); both medians use
     the midpoint convention for even counts.  Points nobody observes inherit
-    cutoffs interpolated over ``points`` from their neighbors.
+    cutoffs interpolated over ``points`` from their neighbors.  ``work``, a
+    workspace of ``values``' shape, holds the sort scratch; by default it is
+    allocated per call.  ``values`` and ``mask`` are never written.
     """
     if not np.isfinite(r) or r <= 0:
         raise ValueError("scale factor r must be positive")
-    med = _quantile_locations(values, mask, 0.5)
-    mad = _quantile_locations(np.abs(values - med[..., None, :]), mask, 0.5)
+    if work is None:
+        work = _Workspace.empty(np.shape(values))
+    med = _quantile_locations(values, mask, 0.5, scratch=work.r)
+    dev = np.subtract(values, med[..., None, :], out=work.p)
+    np.abs(dev, out=dev)
+    mad = _quantile_locations(dev, mask, 0.5, scratch=work.r)
     c = np.maximum(r * mad, C_FLOOR)
     if np.isnan(c).any():
         if points is None:

@@ -17,6 +17,7 @@ import numpy as np
 from .data import Dataset, DataFormatError, Grid, integrate
 from .estimator import (
     NumericalError,
+    _Workspace,
     fit,
     interpolate_rows,
     mad_cutoffs,
@@ -115,33 +116,45 @@ class BootstrapEnsemble:
 def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsemble:
     """Fit the location on B whole-curve resamples (replicate b uses the
     substream (seed, b)).  Scaled-huber losses recompute their MAD cutoffs on
-    every resample."""
+    every resample.
+
+    Every batch is gathered into, and solved in, one set of buffers allocated
+    per call; the last, shorter batch uses leading views of them."""
     if B < MIN_BOOTSTRAP:
         raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
     values = dataset.values
     mask = dataset.mask
     n = dataset.n
+    J = dataset.grid.size
     key = as_key(seed)
     idx = np.empty((B, n), dtype=np.int64)
     for b, rng in enumerate(substreams(key, B)):
         idx[b] = rng.integers(0, n, size=n)  # as _resample_indices(n, key, b)
-    out = np.empty((B, dataset.grid.size))
+    out = np.empty((B, J))
     resolved = resolve_loss(loss, dataset)
     warm = None
     if resolved.kind in ("huber", "squantile"):
         # replicate roots cluster around the full-sample fit, so start there
         warm = solve_locations(values, mask, resolved)
+    shape = (min(BOOTSTRAP_BATCH, B), n, J)
+    v_buf = np.empty(shape)
+    m_buf = np.empty(shape, dtype=bool)
+    w_buf = _Workspace.empty(shape)
     for start in range(0, B, BOOTSTRAP_BATCH):
         stop = min(start + BOOTSTRAP_BATCH, B)
-        sel = idx[start:stop]
-        v = values[sel]
-        m = mask[sel]
+        k = stop - start
+        v, m, work = v_buf[:k], m_buf[:k], w_buf.head(k)
+        # mode="clip" (the indices are in range) lets take write straight
+        # into v and m; the default mode="raise" gathers into a temporary
+        np.take(values, idx[start:stop], axis=0, out=v, mode="clip")
+        np.take(mask, idx[start:stop], axis=0, out=m, mode="clip")
         batch_loss = resolved
         if isinstance(loss, ScaledHuber):
-            # one cutoff profile per replicate, shape (stop - start, J)
+            # one cutoff profile per replicate, shape (k, J)
             batch_loss = huber(tuning_profile=mad_cutoffs(v, m, loss.r,
-                                                          points=dataset.grid.points))
-        out[start:stop] = solve_locations(v, m, batch_loss, theta0=warm)
+                                                          points=dataset.grid.points,
+                                                          work=work))
+        out[start:stop] = solve_locations(v, m, batch_loss, theta0=warm, work=work)
     out = interpolate_rows(out, dataset.grid.points)
     return BootstrapEnsemble(replicates=out, B=B, seed=key)
 
@@ -260,7 +273,9 @@ def anova_l2_test(groups, loss, B: int, seed) -> TestResult:
     for g, ds in enumerate(groups):
         ens = bootstrap_ensemble(ds, loss, B, (*key, g))
         dev = ens.replicates - ens.replicates.mean(axis=0)
-        xi += sizes[g] * (dev.T @ dev)
+        # einsum, unlike the BLAS product, sums in the same order at any
+        # BLAS thread count, so the result bytes do not depend on it
+        xi += sizes[g] * np.einsum("bi,bj->ij", dev, dev)
     xi /= k * B
     lambdas, tail = eigen_mixture(xi, grid, k)  # rejects a trace that is not positive
     trace = float(np.dot(grid.weights, np.diag(xi)))

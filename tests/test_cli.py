@@ -272,3 +272,28 @@ def test_masks_and_fanova_load_scipy_on_first_use(tmp_path, rng):
         "--out", str(tmp_path / "r.json")])
     assert "scipy.integrate" in fanova
     assert "scipy.stats" not in fanova
+
+
+# -- results do not depend on the BLAS thread count -------------------------------
+
+def test_fanova_bytes_equal_at_one_and_two_blas_threads(tmp_path, rng):
+    """The group test's covariance is summed without BLAS, so its result file
+    is the same at any OpenBLAS thread count.  J = 100 is large enough for
+    OpenBLAS to split a matrix product over two threads."""
+    a = random_partial_dataset(rng, n=10, J=100, group="a")
+    b = random_partial_dataset(rng, n=10, J=100, group="b")
+    groups = tmp_path / "groups.csv"
+    save_csv(Dataset(a.grid, a.curves + tuple(
+        PartialCurve(c.id + "b", "b", c.values, c.mask) for c in b.curves)), groups)
+    src = str(Path(fmest.__file__).resolve().parents[1])
+    results = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"r{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+        proc = subprocess.run([sys.executable, "-m", "fmest.cli", "fanova", "--data", str(groups),
+                               "--B", "100", "--seed", "1", "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        results.append(out.read_bytes())
+    assert results[0] == results[1]

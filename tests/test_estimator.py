@@ -11,6 +11,7 @@ from conftest import random_partial_dataset
 from fmest.data import DataFormatError, Grid, PartialCurve, matrix_dataset
 from fmest.estimator import (
     NumericalError,
+    _Workspace,
     _flat_fixup,
     STATUS_INTERPOLATED,
     STATUS_SOLVED,
@@ -144,6 +145,27 @@ def test_per_replicate_cutoffs_equal_separate_solves(rng):
         solve_locations(values, mask, huber(tuning_profile=cutoffs[:, :-1]))
     with pytest.raises(DataFormatError, match="does not broadcast"):
         solve_locations(values[0], mask[0], huber(tuning_profile=cutoffs))
+
+
+def test_workspace_changes_no_result_and_no_input(rng):
+    """One workspace reused by every solve gives the per-call results, and no
+    solve writes the caller's values or mask, with or without it."""
+    B, n, J = 3, 15, 7
+    values = rng.standard_t(2, size=(B, n, J))
+    mask = rng.random((B, n, J)) < 0.7
+    mask[:, 0, :] = True
+    values[~mask] = np.nan
+    before = values.copy(), mask.copy()
+    work = _Workspace.empty(values.shape)
+    got = mad_cutoffs(values, mask, 3.0, work=work)
+    np.testing.assert_array_equal(got, mad_cutoffs(values, mask, 3.0))
+    for loss in (huber(tuning_profile=got), huber(1e-6), smoothed_quantile(0.3, 0.1),
+                 quantile(0.5), square()):
+        theta0 = np.nanmedian(values[0], axis=0) + 0.2
+        np.testing.assert_array_equal(solve_locations(values, mask, loss, theta0, work=work),
+                                      solve_locations(values, mask, loss, theta0))
+    np.testing.assert_array_equal(values, before[0])
+    np.testing.assert_array_equal(mask, before[1])
 
 
 def _flat_fixup_loop(theta, values, mask, flat, c):

@@ -9,7 +9,13 @@ from scipy.stats import chi2
 from conftest import random_partial_dataset
 from fmest import inference
 from fmest.data import DataFormatError, Dataset, Grid, PartialCurve, integrate, matrix_dataset
-from fmest.estimator import NumericalError
+from fmest.estimator import (
+    NumericalError,
+    interpolate_rows,
+    mad_cutoffs,
+    resolve_loss,
+    solve_locations,
+)
 from fmest.inference import (
     anova_l2_test,
     bootstrap_ensemble,
@@ -22,7 +28,7 @@ from fmest.inference import (
     step_probe,
     trend_ci,
 )
-from fmest.losses import ScaledHuber, huber, square
+from fmest.losses import ScaledHuber, huber, smoothed_quantile, square
 
 
 # -- probes ------------------------------------------------------------------
@@ -141,10 +147,10 @@ def test_bootstrap_ensemble_draws_resample_curves(rng, monkeypatch, seed):
     fitted = []
     solve = inference.solve_locations
 
-    def spy(values, mask, loss, theta0=None):
-        if values.ndim == 3:  # one batch of replicates
-            fitted.extend(zip(values, mask))
-        return solve(values, mask, loss, theta0=theta0)
+    def spy(values, mask, loss, theta0=None, **kwargs):
+        if values.ndim == 3:  # one batch of replicates; later batches reuse the buffers
+            fitted.extend(zip(values.copy(), mask.copy()))
+        return solve(values, mask, loss, theta0=theta0, **kwargs)
 
     monkeypatch.setattr(inference, "solve_locations", spy)
     bootstrap_ensemble(ds, huber(0.8), 130, seed)
@@ -153,6 +159,29 @@ def test_bootstrap_ensemble_draws_resample_curves(rng, monkeypatch, seed):
         boot = resample(ds, seed, b)
         np.testing.assert_array_equal(values, boot.values)
         np.testing.assert_array_equal(mask, boot.mask)
+
+
+@pytest.mark.parametrize("loss", [huber(0.8), ScaledHuber(3.0), smoothed_quantile(0.5, 0.1)],
+                         ids=["huber", "scaled-huber", "squantile"])
+def test_bootstrap_ensemble_equals_replicate_loop(rng, loss):
+    """Batches gathered and solved in shared buffers, the last batch a partial
+    view of them, give the one-replicate-at-a-time fits bit for bit.  Sparse
+    curves leave some grid points unobserved in about a third of the
+    resamples, so interpolated cutoffs and locations are covered too."""
+    ds = random_partial_dataset(rng, n=12, J=6, missing=0.6)
+    B, seed = 130, 17
+    resolved = resolve_loss(loss, ds)
+    warm = solve_locations(ds.values, ds.mask, resolved)
+    rows = []
+    for b in range(B):
+        boot = resample(ds, seed, b)
+        boot_loss = resolved
+        if isinstance(loss, ScaledHuber):
+            boot_loss = huber(tuning_profile=mad_cutoffs(boot.values, boot.mask, loss.r,
+                                                         points=ds.grid.points))
+        rows.append(solve_locations(boot.values, boot.mask, boot_loss, theta0=warm))
+    expected = interpolate_rows(np.stack(rows), ds.grid.points)
+    np.testing.assert_array_equal(bootstrap_ensemble(ds, loss, B, seed).replicates, expected)
 
 
 # -- eigenvalue mixture ----------------------------------------------------------
