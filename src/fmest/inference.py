@@ -91,9 +91,13 @@ def parse_probe(text: str, grid: Grid) -> tuple[str, np.ndarray]:
 
 # -- resampling ----------------------------------------------------------------
 
-def _resample_indices(n: int, seed, replicate_index: int) -> np.ndarray:
-    rng = make_rng((*as_key(seed), int(replicate_index)))
+def _draw_indices(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Curve indices of one with-replacement resample of n curves."""
     return rng.integers(0, n, size=n)
+
+
+def _resample_indices(n: int, seed, replicate_index: int) -> np.ndarray:
+    return _draw_indices(make_rng((*as_key(seed), int(replicate_index))), n)
 
 
 def resample(dataset: Dataset, seed, replicate_index: int) -> Dataset:
@@ -129,7 +133,7 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     key = as_key(seed)
     idx = np.empty((B, n), dtype=np.int64)
     for b, rng in enumerate(substreams(key, B)):
-        idx[b] = rng.integers(0, n, size=n)  # as _resample_indices(n, key, b)
+        idx[b] = _draw_indices(rng, n)
     out = np.empty((B, J))
     resolved = resolve_loss(loss, dataset)
     warm = None

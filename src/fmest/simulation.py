@@ -87,10 +87,6 @@ def white_student(df: float) -> ErrorModel:
     return ErrorModel("student", df=df)
 
 
-def white_cauchy() -> ErrorModel:
-    return ErrorModel("cauchy")
-
-
 @dataclass(frozen=True)
 class Contamination:
     """Replace X by mu + scale * (Cauchy noise) on [lo, hi]; correlated noise

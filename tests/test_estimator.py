@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from conftest import random_partial_dataset
 from fmest.data import DataFormatError, Grid, PartialCurve, matrix_dataset
 from fmest.estimator import (
+    MAX_ITER,
+    TOL_ROOT,
     NumericalError,
+    _RootProblem,
     _Workspace,
     _flat_fixup,
     STATUS_INTERPOLATED,
@@ -221,6 +224,123 @@ def test_flat_fixup_equals_column_loop(rng, lead):
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got[..., 4:7], start[..., 4:7])
         assert not np.array_equal(got, start)
+
+
+def _full_width_solve(values, mask, loss, theta0=None):
+    """Reference for the kinked-loss root solve: every step scores every
+    column and keeps the converged ones with np.where."""
+    n_eff = mask.sum(axis=-2)
+    active = n_eff > 0
+    c = loss.h if loss.kind == "squantile" else loss.cutoff()
+    lo = np.where(active, np.min(values, axis=-2, where=mask, initial=np.inf), 0.0)
+    hi = np.where(active, np.max(values, axis=-2, where=mask, initial=-np.inf), 0.0)
+    if loss.kind == "squantile":
+        lo, hi = lo - loss.h, hi + loss.h
+    problem = _RootProblem(values, mask, loss, c, _Workspace.empty(values.shape))
+    tol_vec = TOL_ROOT * np.maximum(n_eff, 1)
+    if theta0 is None:
+        theta = 0.5 * (lo + hi)
+    else:
+        theta = np.clip(np.broadcast_to(theta0, lo.shape), lo, hi)
+        theta = np.where(np.isfinite(theta), theta, 0.5 * (lo + hi))
+    g, s = problem.score(theta)
+    conv = ~active | (np.abs(g) <= tol_vec)
+    eps = np.finfo(float).eps
+    for it in range(MAX_ITER):
+        if conv.all():
+            break
+        pos = g >= 0
+        lo = np.where(conv, lo, np.where(pos, theta, lo))
+        hi = np.where(conv, hi, np.where(pos, hi, theta))
+        mid = 0.5 * (lo + hi)
+        if it % 4 == 3:
+            cand = mid
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = theta + g / s
+            ok = (s > 0) & np.isfinite(newton) & (newton > lo) & (newton < hi)
+            cand = np.where(ok, newton, mid)
+        theta = np.where(conv, theta, cand)
+        g_new, s_new = problem.score(theta)
+        g = np.where(conv, g, g_new)
+        s = np.where(conv, s, s_new)
+        conv |= np.abs(g) <= tol_vec
+        conv |= (hi - lo) <= 8 * eps * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    flat = active & (s == 0)
+    if np.any(flat):
+        theta = _flat_fixup(theta, values, mask, flat, c)
+    return np.where(active, theta, np.nan)
+
+
+@pytest.fixture
+def restrict_widths(monkeypatch):
+    """Column counts of every restricted problem the solver builds."""
+    widths = []
+    restrict = _RootProblem.restrict
+
+    def spy(self, cols):
+        widths.append(cols.size)
+        return restrict(self, cols)
+
+    monkeypatch.setattr(_RootProblem, "restrict", spy)
+    return widths
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_solve_equals_full_width_loop(rng, lead, restrict_widths):
+    """Scoring only the unconverged columns changes no result bit."""
+    n, J = 50, 64
+    shape = (*lead, n, J)
+    values = rng.standard_t(2, size=shape)
+    mask = rng.random(shape) < 0.7
+    mask[..., 3] = False  # unobserved
+    mask[..., :2, 5] = True  # observed by at most a few curves
+    mask[..., 2:, 5] = False
+    values[~mask] = np.nan
+    losses = (huber(0.7), huber(1e-6), huber(tuning_profile=rng.uniform(1e-6, 2.0, size=(*lead, J))),
+              smoothed_quantile(0.3, 0.1))
+    warm = rng.normal(scale=0.5, size=J)
+    warm[7] = np.nan  # falls back to the bracket midpoint
+    for loss in losses:
+        for theta0 in (None, warm):
+            np.testing.assert_array_equal(solve_locations(values, mask, loss, theta0),
+                                          _full_width_solve(values, mask, loss, theta0))
+    assert restrict_widths  # the restricted problem was scored
+
+
+def test_last_unconverged_column_equals_full_width_loop(rng, restrict_widths):
+    """A batch whose last unconverged column is scored on its own."""
+    B, n, J = 3, 40, 30
+    values = np.repeat(rng.normal(size=(B, 1, J)), n, axis=1)  # tied: solved at the start
+    values[1, :, 4] += rng.standard_cauchy(n)
+    mask = np.ones((B, n, J), dtype=bool)
+    mask[2, :, 9] = False
+    values[~mask] = np.nan
+    np.testing.assert_array_equal(solve_locations(values, mask, huber(0.5)),
+                                  _full_width_solve(values, mask, huber(0.5)))
+    assert restrict_widths == [1]
+
+
+@pytest.mark.parametrize("loss", [huber(tuning_profile=np.linspace(0.2, 2.0, 6 * 50).reshape(6, 50)),
+                                  smoothed_quantile(0.3, 0.2)], ids=["huber", "squantile"])
+def test_restricted_scores_equal_full_width(rng, loss):
+    """A problem restricted to 1, 2 or many columns scores them bit for bit
+    as the full-width problem does."""
+    B, n, J = 6, 60, 50
+    values = rng.standard_t(3, size=(B, n, J))
+    mask = rng.random((B, n, J)) < 0.8
+    values[~mask] = np.nan
+    c = loss.h if loss.kind == "squantile" else loss.cutoff()
+    problem = _RootProblem(values, mask, loss, c, _Workspace.empty(values.shape))
+    theta = rng.normal(size=(B, J)).reshape(-1)
+    g, s = (a.reshape(-1) for a in problem.score(theta.reshape(B, J)))
+    picks = [[int(j)] for j in rng.choice(B * J, 20, replace=False)]
+    picks += [[3, 250], rng.choice(B * J, 80, replace=False)]
+    for cols in map(np.asarray, picks):
+        sub = problem.restrict(cols)
+        g_sub, s_sub = sub.score(theta[sub.cols])
+        np.testing.assert_array_equal(g_sub[:cols.size], g[cols])
+        np.testing.assert_array_equal(s_sub[:cols.size], s[cols])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
