@@ -34,7 +34,6 @@ from .estimator import (
     influence_function,
     interpolate_undefined,
     mad_profile,
-    resolve_loss,
     solve_locations,
 )
 from .sampling import (

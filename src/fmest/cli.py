@@ -79,10 +79,6 @@ def _cmd_estimate(args) -> int:
 def _cmd_fanova(args) -> int:
     started = _utcnow()
     dataset = load_csv(args.data)
-    if args.group_col != "group":
-        raise DataFormatError(
-            f"group column {args.group_col!r} not found (the curve format names it 'group')"
-        )
     labels = sorted(dataset.group_labels())
     if len(labels) < 2:
         raise DataFormatError(f"{args.data}: need at least 2 groups, found {labels}")
@@ -108,8 +104,7 @@ def _cmd_fanova(args) -> int:
     print(f"T = {result.statistic:.6g}, p = {result.p_value:.6g} "
           f"({result.groups} groups, B={result.B})")
     _write_manifest(out, "fanova",
-                    {"data": str(args.data), "loss": args.loss, "B": args.B,
-                     "group_col": args.group_col},
+                    {"data": str(args.data), "loss": args.loss, "B": args.B},
                     args.seed, [out], started)
     return 0
 
@@ -207,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fan = sub.add_parser("fanova", help="L2 bootstrap test of equal group locations")
     p_fan.add_argument("--data", required=True)
-    p_fan.add_argument("--group-col", default="group")
     p_fan.add_argument("--loss", default="huber:0.8")
     p_fan.add_argument("--B", type=int, default=800, help="bootstrap replicates per group")
     p_fan.add_argument("--mixture-draws", type=int, help="deprecated and ignored")

@@ -54,10 +54,6 @@ class MEstimate:
     n_eff: np.ndarray
     status: np.ndarray
 
-    @property
-    def is_complete(self) -> bool:
-        return not np.any(self.status == STATUS_UNDEFINED)
-
 
 # -- array-level solvers ------------------------------------------------------
 
@@ -92,8 +88,9 @@ class _Workspace:
 
     ``v0`` and ``maskf`` hold the solve's zero-filled values and float mask,
     ``r`` and ``p`` its residual and clip buffers, ``hit`` its slope
-    indicator.  MAD sorts in ``r`` and forms |x - med| in ``p``: both are dead
-    until a solve starts.  A batched loop allocates one workspace and passes
+    indicator.  Before the root solve starts, ``solve_locations`` computes a
+    :class:`ScaledHuber`'s MAD cutoffs in ``r`` (the sorts) and ``p``
+    (|x - med|).  A batched loop allocates one workspace and passes
     ``head(k)`` views of it, so that the large temporaries are not freed and
     faulted in again on every batch.  Fits that run concurrently need
     workspaces of their own.
@@ -215,14 +212,17 @@ def _flat_fixup(theta, values, mask, flat, c):
     return theta
 
 
-def solve_locations(values, mask, loss: LossSpec, theta0: np.ndarray | None = None, *,
+def solve_locations(values, mask, loss: LossSpec | ScaledHuber,
+                    theta0: np.ndarray | None = None, *,
                     work: _Workspace | None = None) -> np.ndarray:
     """Location estimates along axis -2 (curves) for every grid point.
 
     ``values`` may hold NaN at masked-out entries.  Returns an array of shape
-    values.shape minus the curve axis, NaN where no curve is observed.  A
-    huber ``tuning_profile`` must broadcast against that shape: (J,) shares
-    one cutoff profile, (B, J) gives each of B stacked fits its own.
+    values.shape minus the curve axis, NaN where no curve is observed.  An
+    array huber cutoff must broadcast against that shape: (J,) shares one
+    cutoff profile, (B, J) gives each of B stacked fits its own.  A
+    :class:`ScaledHuber` is solved as the huber loss with the cutoffs
+    :func:`mad_cutoffs` computes from these same values, one profile per fit.
     ``theta0`` warm-starts the kinked-loss root solve (clipped into the data
     bracket); it does not change what is being solved.  ``work``, a
     workspace of ``values``' shape, holds the solve's scratch arrays (by
@@ -233,6 +233,12 @@ def solve_locations(values, mask, loss: LossSpec, theta0: np.ndarray | None = No
     values = np.asarray(values, dtype=float)
     if values.shape != mask.shape or values.ndim < 2:
         raise DataFormatError("values/mask must share a (..., n, J) shape")
+    if isinstance(loss, ScaledHuber):
+        if work is None:
+            work = _Workspace.empty(values.shape)
+        loss = huber(mad_cutoffs(values, mask, loss.r, work=work))
+    elif not isinstance(loss, LossSpec):
+        raise TypeError(f"not a loss: {loss!r}")
     n_eff = mask.sum(axis=-2)
     active = n_eff > 0
 
@@ -246,7 +252,7 @@ def solve_locations(values, mask, loss: LossSpec, theta0: np.ndarray | None = No
         return _quantile_locations(values, mask, loss.tau,
                                    scratch=None if work is None else work.r)
 
-    c = loss.h if loss.kind == "squantile" else loss.cutoff()
+    c = loss.h if loss.kind == "squantile" else loss.c
     try:
         np.broadcast_to(c, n_eff.shape)
     except ValueError:
@@ -350,22 +356,13 @@ def interpolate_rows(theta: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 # -- dataset-level API --------------------------------------------------------
 
-def resolve_loss(choice, dataset: Dataset) -> LossSpec:
-    """Materialize a loss choice; ScaledHuber gets its MAD-based profile here."""
-    if isinstance(choice, ScaledHuber):
-        return huber(tuning_profile=mad_profile(dataset, choice.r))
-    if isinstance(choice, LossSpec):
-        return choice
-    raise TypeError(f"not a loss: {choice!r}")
-
-
 def fit(dataset: Dataset, choice) -> MEstimate:
     """Pointwise M-fit of the dataset under a :class:`LossSpec` or
     :class:`ScaledHuber`, with undefined points interpolated."""
-    return interpolate_undefined(fit_marginal(dataset, resolve_loss(choice, dataset)))
+    return interpolate_undefined(fit_marginal(dataset, choice))
 
 
-def fit_marginal(dataset: Dataset, loss: LossSpec) -> MEstimate:
+def fit_marginal(dataset: Dataset, loss: LossSpec | ScaledHuber) -> MEstimate:
     """Pointwise M-fit of the dataset; undefined points are left NaN."""
     n_eff = dataset.mask.sum(axis=0)
     if not np.any(n_eff > 0):
@@ -391,22 +388,22 @@ def interpolate_undefined(estimate: MEstimate) -> MEstimate:
 
 def mad_profile(dataset: Dataset, r: float) -> np.ndarray:
     """Huber cutoffs c(t) = max(r * MAD(t), C_FLOOR) of the whole dataset,
-    shape (J,) (see :func:`mad_cutoffs`)."""
-    return mad_cutoffs(dataset.values, dataset.mask, r, points=dataset.grid.points)
+    shape (J,); points nobody observes get C_FLOOR (see :func:`mad_cutoffs`)."""
+    return mad_cutoffs(dataset.values, dataset.mask, r)
 
 
-def mad_cutoffs(values: np.ndarray, mask: np.ndarray, r: float,
-                points: np.ndarray | None = None, *,
+def mad_cutoffs(values: np.ndarray, mask: np.ndarray, r: float, *,
                 work: _Workspace | None = None) -> np.ndarray:
     """Huber cutoffs c(t) = max(r * MAD(t), C_FLOOR) along the curve axis;
     shape (..., J).
 
     MAD is the raw median absolute deviation of the observed values about
     their pointwise median (no normal-consistency factor); both medians use
-    the midpoint convention for even counts.  Points nobody observes inherit
-    cutoffs interpolated over ``points`` from their neighbors.  ``work``, a
-    workspace of ``values``' shape, holds the sort scratch; by default it is
-    allocated per call.  ``values`` and ``mask`` are never written.
+    the midpoint convention for even counts.  Points nobody observes get
+    C_FLOOR, which no solve reads: such a point has no root, and a fit
+    interpolates its location from the solved ones.  ``work``, a workspace
+    of ``values``' shape, holds the sort scratch; by default it is allocated
+    per call.  ``values`` and ``mask`` are never written.
     """
     if not np.isfinite(r) or r <= 0:
         raise ValueError("scale factor r must be positive")
@@ -416,13 +413,7 @@ def mad_cutoffs(values: np.ndarray, mask: np.ndarray, r: float,
     dev = np.subtract(values, med[..., None, :], out=work.p)
     np.abs(dev, out=dev)
     mad = _quantile_locations(dev, mask, 0.5, scratch=work.r)
-    c = np.maximum(r * mad, C_FLOOR)
-    if np.isnan(c).any():
-        if points is None:
-            raise NumericalError("undefined cutoffs need grid points to interpolate")
-        c = interpolate_rows(c, points)
-        c = np.maximum(c, C_FLOOR)
-    return c
+    return np.fmax(r * mad, C_FLOOR)
 
 
 def influence_function(dataset: Dataset, loss: LossSpec, theta_hat: np.ndarray,

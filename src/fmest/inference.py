@@ -15,16 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DataFormatError, Grid, integrate
-from .estimator import (
-    NumericalError,
-    _Workspace,
-    fit,
-    interpolate_rows,
-    mad_cutoffs,
-    resolve_loss,
-    solve_locations,
-)
-from .losses import ScaledHuber, huber
+from .estimator import NumericalError, _Workspace, fit, interpolate_rows, solve_locations
 from .seeding import as_key, make_rng, substreams
 
 MIN_BOOTSTRAP = 100
@@ -119,8 +110,8 @@ class BootstrapEnsemble:
 
 def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsemble:
     """Fit the location on B whole-curve resamples (replicate b uses the
-    substream (seed, b)).  Scaled-huber losses recompute their MAD cutoffs on
-    every resample.
+    substream (seed, b)).  ``loss`` goes unchanged to every solve, so a
+    scaled-huber loss recomputes its MAD cutoffs on every resample.
 
     Every batch is gathered into, and solved in, one set of buffers allocated
     per call; the last, shorter batch uses leading views of them."""
@@ -135,11 +126,9 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     for b, rng in enumerate(substreams(key, B)):
         idx[b] = _draw_indices(rng, n)
     out = np.empty((B, J))
-    resolved = resolve_loss(loss, dataset)
-    warm = None
-    if resolved.kind in ("huber", "squantile"):
-        # replicate roots cluster around the full-sample fit, so start there
-        warm = solve_locations(values, mask, resolved)
+    # replicate roots cluster around the full-sample fit, so start there
+    # (square and quantile losses have closed forms and ignore the start)
+    warm = solve_locations(values, mask, loss)
     shape = (min(BOOTSTRAP_BATCH, B), n, J)
     v_buf = np.empty(shape)
     m_buf = np.empty(shape, dtype=bool)
@@ -152,13 +141,7 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
         # into v and m; the default mode="raise" gathers into a temporary
         np.take(values, idx[start:stop], axis=0, out=v, mode="clip")
         np.take(mask, idx[start:stop], axis=0, out=m, mode="clip")
-        batch_loss = resolved
-        if isinstance(loss, ScaledHuber):
-            # one cutoff profile per replicate, shape (k, J)
-            batch_loss = huber(tuning_profile=mad_cutoffs(v, m, loss.r,
-                                                          points=dataset.grid.points,
-                                                          work=work))
-        out[start:stop] = solve_locations(v, m, batch_loss, theta0=warm, work=work)
+        out[start:stop] = solve_locations(v, m, loss, theta0=warm, work=work)
     out = interpolate_rows(out, dataset.grid.points)
     return BootstrapEnsemble(replicates=out, B=B, seed=key)
 

@@ -9,10 +9,12 @@ derivative ``psi_dot``:
 * squantile (tau,h): quantile loss with the kink replaced on [-h, h] by the
   quadratic matching value and slope at +-h, anchored so rho(0) = 0
 
-The huber cutoff is a scalar ``c`` or a ``tuning_profile`` array whose last
-axis runs over the J grid points and which broadcasts against residuals of
-shape (..., J): one profile (J,) for every fit, or one profile per fit, such
-as (B, J) for B bootstrap replicates.
+The huber cutoff ``c`` is a scalar, or an array whose last axis runs over
+the J grid points and which broadcasts against residuals of shape (..., J):
+one profile (J,) for every fit, or one profile per fit, such as (B, J) for B
+bootstrap replicates.  A :class:`ScaledHuber` asks for the cutoffs
+max(r * MAD(t), floor); ``estimator.solve_locations`` computes them from the
+values it solves.
 """
 
 from __future__ import annotations
@@ -28,54 +30,34 @@ KINDS = ("square", "huber", "quantile", "squantile")
 class LossSpec:
     """A concrete loss (all tuning fixed).
 
-    ``c`` is the huber cutoff; ``tau`` the quantile level; ``h`` the
-    smoothing half-width.  ``tuning_profile`` (huber only) is an array of
-    positive, finite cutoffs whose last axis is the grid, e.g. (J,) or (B, J);
-    it broadcasts against (..., J) and takes precedence over ``c``.
+    ``c`` is the huber cutoff: a positive, finite scalar, or an array of
+    them whose last axis is the grid, e.g. (J,) or (B, J), that broadcasts
+    against (..., J).  ``tau`` is the quantile level, ``h`` the smoothing
+    half-width.
     """
 
     kind: str
-    c: float | None = None
+    c: float | np.ndarray | None = None
     tau: float | None = None
     h: float | None = None
-    tuning_profile: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
         if self.kind == "huber":
-            if self.tuning_profile is not None:
-                prof = np.asarray(self.tuning_profile, dtype=float)
-                if prof.ndim < 1 or not np.all(np.isfinite(prof)) or np.any(prof <= 0):
-                    raise ValueError("tuning_profile must be an array of positive, finite cutoffs")
-                prof = prof.copy()
-                prof.setflags(write=False)
-                object.__setattr__(self, "tuning_profile", prof)
-            elif self.c is None or not np.isfinite(self.c) or self.c <= 0:
-                raise ValueError("huber loss needs a positive cutoff c")
-        elif self.tuning_profile is not None:
-            raise ValueError(f"{self.kind} loss does not take a tuning profile")
+            c = np.array(self.c, dtype=float)  # a copy the caller cannot write
+            if c.size == 0 or not np.all(np.isfinite(c)) or np.any(c <= 0):
+                raise ValueError("huber loss needs positive, finite cutoffs c")
+            c.setflags(write=False)
+            object.__setattr__(self, "c", c if c.ndim else float(c))
+        elif self.c is not None:
+            raise ValueError(f"{self.kind} loss does not take a cutoff")
         if self.kind in ("quantile", "squantile"):
             if self.tau is None or not 0 < self.tau < 1:
                 raise ValueError("quantile level tau must lie in (0, 1)")
         if self.kind == "squantile":
             if self.h is None or not np.isfinite(self.h) or self.h <= 0:
                 raise ValueError("smoothing half-width h must be positive")
-
-    def cutoff(self):
-        """Huber cutoff: the scalar ``c`` or the whole ``tuning_profile``."""
-        return self.c if self.tuning_profile is None else self.tuning_profile
-
-    def describe(self) -> str:
-        if self.kind == "square":
-            return "square"
-        if self.kind == "huber":
-            if self.tuning_profile is not None:
-                return "huber:profile"
-            return f"huber:{self.c:g}"
-        if self.kind == "quantile":
-            return f"quantile:{self.tau:g}"
-        return f"squantile:{self.tau:g},{self.h:g}"
 
 
 @dataclass(frozen=True)
@@ -88,16 +70,13 @@ class ScaledHuber:
         if not np.isfinite(self.r) or self.r <= 0:
             raise ValueError("scale factor r must be positive")
 
-    def describe(self) -> str:
-        return f"huber-scaled:{self.r:g}"
-
 
 def square() -> LossSpec:
     return LossSpec("square")
 
 
-def huber(c: float | None = None, tuning_profile=None) -> LossSpec:
-    return LossSpec("huber", c=c, tuning_profile=tuning_profile)
+def huber(c: float | np.ndarray) -> LossSpec:
+    return LossSpec("huber", c=c)
 
 
 def quantile(tau: float) -> LossSpec:
@@ -153,7 +132,7 @@ def rho(loss: LossSpec, x):
     if loss.kind == "square":
         return x * x
     if loss.kind == "huber":
-        return _huber_rho(x, loss.cutoff())
+        return _huber_rho(x, loss.c)
     if loss.kind == "quantile":
         return _quantile_rho(x, loss.tau)
     return _squantile_rho(x, loss.tau, loss.h)
@@ -165,7 +144,7 @@ def psi(loss: LossSpec, x):
     if loss.kind == "square":
         return 2.0 * x
     if loss.kind == "huber":
-        return _huber_psi(x, loss.cutoff())
+        return _huber_psi(x, loss.c)
     if loss.kind == "quantile":
         return _quantile_psi(x, loss.tau)
     return _squantile_psi(x, loss.tau, loss.h)
@@ -177,7 +156,7 @@ def psi_dot(loss: LossSpec, x):
     if loss.kind == "square":
         return np.full_like(x, 2.0)
     if loss.kind == "huber":
-        return _huber_psi_dot(x, loss.cutoff())
+        return _huber_psi_dot(x, loss.c)
     if loss.kind == "quantile":
         return np.zeros_like(x)
     return _squantile_psi_dot(x, loss.tau, loss.h)

@@ -71,22 +71,6 @@ class ErrorModel:
             raise DataFormatError("correlation range d must be positive")
 
 
-def gaussian_exp(d: float) -> ErrorModel:
-    return ErrorModel("gaussian", d=d)
-
-
-def student_exp(df: float, d: float) -> ErrorModel:
-    return ErrorModel("student", d=d, df=df)
-
-
-def cauchy_exp(d: float) -> ErrorModel:
-    return ErrorModel("cauchy", d=d)
-
-
-def white_student(df: float) -> ErrorModel:
-    return ErrorModel("student", df=df)
-
-
 @dataclass(frozen=True)
 class Contamination:
     """Replace X by mu + scale * (Cauchy noise) on [lo, hi]; correlated noise
@@ -142,18 +126,19 @@ def model_mean(model: ProcessModel, points) -> np.ndarray:
 
 _PRESETS = {
     # Smooth-mean benchmark suite: sigma = 2 throughout.
-    "model1": ProcessModel("smooth", gaussian_exp(0.3)),
-    "model2": ProcessModel("smooth", student_exp(3.0, 0.3)),
-    "model3": ProcessModel("smooth", cauchy_exp(0.3)),
-    "model4": ProcessModel("smooth", white_student(3.0), scale=RandomScale(2.0, 10.0)),
-    "model5": ProcessModel("smooth", gaussian_exp(0.3),
+    "model1": ProcessModel("smooth", ErrorModel("gaussian", d=0.3)),
+    "model2": ProcessModel("smooth", ErrorModel("student", d=0.3, df=3.0)),
+    "model3": ProcessModel("smooth", ErrorModel("cauchy", d=0.3)),
+    "model4": ProcessModel("smooth", ErrorModel("student", df=3.0),
+                           scale=RandomScale(2.0, 10.0)),
+    "model5": ProcessModel("smooth", ErrorModel("gaussian", d=0.3),
                            contamination=Contamination(0.2, 0.4, scale=1.0)),
-    "model6": ProcessModel("smooth", gaussian_exp(0.3),
+    "model6": ProcessModel("smooth", ErrorModel("gaussian", d=0.3),
                            contamination=Contamination(0.2, 0.4, scale=1.0, d=0.3)),
     # Probe-mean (trend) suite.
-    "probe-gaussian": ProcessModel("probe", gaussian_exp(0.3)),
-    "probe-t3": ProcessModel("probe", student_exp(3.0, 0.3)),
-    "probe-cauchy": ProcessModel("probe", cauchy_exp(0.3)),
+    "probe-gaussian": ProcessModel("probe", ErrorModel("gaussian", d=0.3)),
+    "probe-t3": ProcessModel("probe", ErrorModel("student", d=0.3, df=3.0)),
+    "probe-cauchy": ProcessModel("probe", ErrorModel("cauchy", d=0.3)),
 }
 
 

@@ -91,12 +91,6 @@ def test_fanova_rejects_single_group(tmp_path, curves_csv):
     assert not out.exists()
 
 
-def test_fanova_group_col_must_match(tmp_path, two_group_csv):
-    out = tmp_path / "r.json"
-    assert main(["fanova", "--data", str(two_group_csv), "--group-col", "cohort",
-                 "--B", "100", "--seed", "1", "--out", str(out)]) == 2
-
-
 def test_trend_run_and_flag(tmp_path, curves_csv, capsys):
     data, _ = curves_csv
     out = tmp_path / "ci.json"

@@ -126,7 +126,7 @@ def test_matrix_dataset_errors_name_the_curve(values, mask, ids, match):
 def test_dataset_operations_build_no_curve_rows(monkeypatch, rng, tmp_path):
     """Datasets are matrices: building, slicing, resampling and fitting one
     constructs no PartialCurve."""
-    from fmest.estimator import fit
+    from fmest.estimator import STATUS_UNDEFINED, fit
     from fmest.inference import resample
     from fmest.losses import ScaledHuber, huber
 
@@ -143,7 +143,7 @@ def test_dataset_operations_build_no_curve_rows(monkeypatch, rng, tmp_path):
     back = load_csv(tmp_path / "boot.csv")
     assert back.n == sub.n
     for choice in (huber(0.8), ScaledHuber(2.0)):
-        assert fit(back, choice).is_complete
+        assert STATUS_UNDEFINED not in fit(back, choice).status
 
 
 def test_restrict_dataset_drops_empty_curves():

@@ -25,10 +25,9 @@ from fmest.estimator import (
     interpolate_undefined,
     mad_cutoffs,
     mad_profile,
-    resolve_loss,
     solve_locations,
 )
-from fmest.losses import ScaledHuber, huber, psi, quantile, smoothed_quantile, square
+from fmest.losses import LossSpec, ScaledHuber, huber, psi, quantile, smoothed_quantile, square
 from fmest.sampling import generate_masks, random_interval
 from fmest.simulation import generate_curves, model_preset
 
@@ -140,14 +139,14 @@ def test_per_replicate_cutoffs_equal_separate_solves(rng):
     cutoffs = rng.uniform(1e-6, 2.0, size=(B, J))
     cutoffs[2, :5] = 1e-6  # tiny cutoffs leave flat root intervals to center
     for theta0 in (None, np.median(values[0], axis=0) + 0.3):
-        whole = solve_locations(values, mask, huber(tuning_profile=cutoffs), theta0=theta0)
-        rows = np.stack([solve_locations(values[b], mask[b], huber(tuning_profile=cutoffs[b]),
+        whole = solve_locations(values, mask, huber(cutoffs), theta0=theta0)
+        rows = np.stack([solve_locations(values[b], mask[b], huber(cutoffs[b]),
                                          theta0=theta0) for b in range(B)])
         np.testing.assert_array_equal(whole, rows)
     with pytest.raises(DataFormatError, match="does not broadcast"):
-        solve_locations(values, mask, huber(tuning_profile=cutoffs[:, :-1]))
+        solve_locations(values, mask, huber(cutoffs[:, :-1]))
     with pytest.raises(DataFormatError, match="does not broadcast"):
-        solve_locations(values[0], mask[0], huber(tuning_profile=cutoffs))
+        solve_locations(values[0], mask[0], huber(cutoffs))
 
 
 def test_workspace_changes_no_result_and_no_input(rng):
@@ -162,7 +161,7 @@ def test_workspace_changes_no_result_and_no_input(rng):
     work = _Workspace.empty(values.shape)
     got = mad_cutoffs(values, mask, 3.0, work=work)
     np.testing.assert_array_equal(got, mad_cutoffs(values, mask, 3.0))
-    for loss in (huber(tuning_profile=got), huber(1e-6), smoothed_quantile(0.3, 0.1),
+    for loss in (huber(got), huber(1e-6), smoothed_quantile(0.3, 0.1),
                  quantile(0.5), square()):
         theta0 = np.nanmedian(values[0], axis=0) + 0.2
         np.testing.assert_array_equal(solve_locations(values, mask, loss, theta0, work=work),
@@ -231,7 +230,7 @@ def _full_width_solve(values, mask, loss, theta0=None):
     column and keeps the converged ones with np.where."""
     n_eff = mask.sum(axis=-2)
     active = n_eff > 0
-    c = loss.h if loss.kind == "squantile" else loss.cutoff()
+    c = loss.h if loss.kind == "squantile" else loss.c
     lo = np.where(active, np.min(values, axis=-2, where=mask, initial=np.inf), 0.0)
     hi = np.where(active, np.max(values, axis=-2, where=mask, initial=-np.inf), 0.0)
     if loss.kind == "squantile":
@@ -297,7 +296,7 @@ def test_solve_equals_full_width_loop(rng, lead, restrict_widths):
     mask[..., :2, 5] = True  # observed by at most a few curves
     mask[..., 2:, 5] = False
     values[~mask] = np.nan
-    losses = (huber(0.7), huber(1e-6), huber(tuning_profile=rng.uniform(1e-6, 2.0, size=(*lead, J))),
+    losses = (huber(0.7), huber(1e-6), huber(rng.uniform(1e-6, 2.0, size=(*lead, J))),
               smoothed_quantile(0.3, 0.1))
     warm = rng.normal(scale=0.5, size=J)
     warm[7] = np.nan  # falls back to the bracket midpoint
@@ -321,7 +320,7 @@ def test_last_unconverged_column_equals_full_width_loop(rng, restrict_widths):
     assert restrict_widths == [1]
 
 
-@pytest.mark.parametrize("loss", [huber(tuning_profile=np.linspace(0.2, 2.0, 6 * 50).reshape(6, 50)),
+@pytest.mark.parametrize("loss", [huber(np.linspace(0.2, 2.0, 6 * 50).reshape(6, 50)),
                                   smoothed_quantile(0.3, 0.2)], ids=["huber", "squantile"])
 def test_restricted_scores_equal_full_width(rng, loss):
     """A problem restricted to 1, 2 or many columns scores them bit for bit
@@ -330,7 +329,7 @@ def test_restricted_scores_equal_full_width(rng, loss):
     values = rng.standard_t(3, size=(B, n, J))
     mask = rng.random((B, n, J)) < 0.8
     values[~mask] = np.nan
-    c = loss.h if loss.kind == "squantile" else loss.cutoff()
+    c = loss.h if loss.kind == "squantile" else loss.c
     problem = _RootProblem(values, mask, loss, c, _Workspace.empty(values.shape))
     theta = rng.normal(size=(B, J)).reshape(-1)
     g, s = (a.reshape(-1) for a in problem.score(theta.reshape(B, J)))
@@ -344,13 +343,15 @@ def test_restricted_scores_equal_full_width(rng, loss):
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
-@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4)])
+@pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 3, 4), ()])
 def test_loss_spec_rejects_bad_cutoff_arrays(shape, bad):
     prof = np.ones(shape)
-    huber(tuning_profile=prof)  # any dimension is accepted
+    huber(prof)  # any dimension is accepted
     prof.flat[-1] = bad
     with pytest.raises(ValueError, match="positive, finite"):
-        huber(tuning_profile=prof)
+        huber(prof)
+    with pytest.raises(ValueError, match="does not take a cutoff"):
+        LossSpec("quantile", c=np.ones(shape), tau=0.5)
 
 
 def test_unobserved_point_is_nan():
@@ -417,11 +418,10 @@ def test_fit_marginal_statuses():
     est = fit_marginal(ds, huber(1.0))
     assert list(est.status) == [STATUS_SOLVED] * 2 + [STATUS_UNDEFINED] + [STATUS_SOLVED] * 2
     assert np.isnan(est.theta[2])
-    assert not est.is_complete
     filled = interpolate_undefined(est)
     assert filled.status[2] == STATUS_INTERPOLATED
     assert filled.theta[2] == pytest.approx(2.0)  # linear between neighbors
-    assert filled.is_complete
+    assert STATUS_UNDEFINED not in filled.status
     # idempotent on complete fits
     assert interpolate_undefined(filled) is filled
 
@@ -453,31 +453,25 @@ def test_mad_profile_values(rng):
         mad_profile(ds, r=-1.0)
 
 
-def test_mad_cutoffs_interpolates_unobserved_columns(rng):
+def test_mad_cutoffs_floor_unobserved_columns(rng):
     values = rng.normal(size=(10, 4))
     mask = np.ones((10, 4), dtype=bool)
     mask[:, 2] = False
-    pts = np.linspace(0, 1, 4)
-    c = mad_cutoffs(values, mask, 3.0, points=pts)
-    assert np.all(np.isfinite(c)) and np.all(c > 0)
-    with pytest.raises(NumericalError):
-        mad_cutoffs(values, mask, 3.0)  # no points to interpolate over
+    c = mad_cutoffs(values, mask, 3.0)
+    assert c[2] == 1e-6
+    assert np.all(c[[0, 1, 3]] > 0.1)
     with pytest.raises(ValueError, match="must be positive"):
-        mad_cutoffs(values, mask, 0.0, points=pts)
+        mad_cutoffs(values, mask, 0.0)
 
 
-def _nanmedian_cutoffs(values, mask, r, points):
-    """Reference MAD cutoffs by masked nanmedian, with interpolation."""
+def _nanmedian_cutoffs(values, mask, r):
+    """Reference MAD cutoffs by masked nanmedian; unobserved columns get the floor."""
     masked = np.where(mask, values, np.nan)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
         med = np.nanmedian(masked, axis=-2)
         mad = np.nanmedian(np.abs(masked - med[..., None, :]), axis=-2)
-    c = np.maximum(r * mad, 1e-6)
-    for row in c.reshape(-1, c.shape[-1]):
-        bad = np.isnan(row)
-        row[bad] = np.maximum(np.interp(points[bad], points[~bad], row[~bad]), 1e-6)
-    return c
+    return np.where(np.isnan(mad), 1e-6, np.maximum(r * mad, 1e-6))
 
 
 def test_mad_cutoffs_equal_nanmedian_reference(rng):
@@ -490,26 +484,56 @@ def test_mad_cutoffs_equal_nanmedian_reference(rng):
     values[..., 2] = 1.5                       # all ties: MAD 0, floored
     mask[..., 3] = False
     mask[..., 4, 3] = True                     # a single observed value
-    mask[..., 5] = False                       # nobody observes: interpolated
+    mask[..., 5] = False                       # nobody observes: the floor
     mask[..., 6] = False
-    mask[..., -1] = False                      # constant extension at the edge
+    mask[..., -1] = False
     values = np.where(mask, values, np.nan)
-    pts = np.linspace(0.0, 1.0, J)
-    ref = _nanmedian_cutoffs(values, mask, 2.5, pts)
-    np.testing.assert_array_equal(mad_cutoffs(values, mask, 2.5, points=pts), ref)
-    ds = matrix_dataset(Grid.from_unit_points(pts), values[0], mask[0])
+    ref = _nanmedian_cutoffs(values, mask, 2.5)
+    np.testing.assert_array_equal(mad_cutoffs(values, mask, 2.5), ref)
+    ds = matrix_dataset(Grid.uniform(J), values[0], mask[0])
     np.testing.assert_array_equal(mad_profile(ds, 2.5), ref[0])
 
 
-def test_resolve_loss_materializes_scaled_huber(rng):
-    ds = random_partial_dataset(rng, n=25, J=10)
-    resolved = resolve_loss(ScaledHuber(2.0), ds)
-    assert resolved.kind == "huber"
-    assert resolved.tuning_profile is not None
-    np.testing.assert_allclose(resolved.tuning_profile, mad_profile(ds, 2.0))
-    assert resolve_loss(huber(0.8), ds).c == 0.8
-    with pytest.raises(TypeError):
-        resolve_loss("huber:0.8", ds)
+def _stacked_with_unobserved_columns(rng):
+    """(B, n, J) draws with a column nobody observes in every replicate and
+    one more in a single replicate."""
+    B, n, J = 5, 20, 9
+    values = rng.standard_t(2, size=(B, n, J))
+    mask = rng.random((B, n, J)) < 0.7
+    mask[:, 0, :] = True
+    mask[..., 4] = False
+    mask[2, :, 7] = False
+    values[~mask] = np.nan
+    return values, mask
+
+
+def test_solve_locations_scaled_huber_equals_mad_cutoffs(rng):
+    """A ScaledHuber is solved as the huber loss with its MAD cutoffs, bit
+    for bit, with and without a workspace and a warm start."""
+    values, mask = _stacked_with_unobserved_columns(rng)
+    loss = huber(mad_cutoffs(values, mask, 2.0))
+    theta0 = rng.normal(scale=0.5, size=values.shape[-1])
+    want = solve_locations(values, mask, loss)
+    np.testing.assert_array_equal(solve_locations(values, mask, ScaledHuber(2.0)), want)
+    work = _Workspace.empty(values.shape)
+    np.testing.assert_array_equal(
+        solve_locations(values, mask, ScaledHuber(2.0), theta0, work=work),
+        solve_locations(values, mask, loss, theta0))
+    assert np.isnan(want[..., 4]).all() and np.isnan(want[2, 7])
+    with pytest.raises(TypeError, match="not a loss"):
+        solve_locations(values, mask, "huber-scaled:2")
+
+
+def test_unobserved_column_cutoffs_change_no_bit(rng):
+    """No solve reads the cutoff of a column that no curve observes."""
+    values, mask = _stacked_with_unobserved_columns(rng)
+    B, n, J = values.shape
+    cutoffs = rng.uniform(0.1, 2.0, size=(B, J))
+    other = cutoffs.copy()
+    other[..., 4] = 1e-6
+    other[2, 7] = 50.0
+    np.testing.assert_array_equal(solve_locations(values, mask, huber(cutoffs)),
+                                  solve_locations(values, mask, huber(other)))
 
 
 def test_influence_function_matches_refit_derivative(rng):

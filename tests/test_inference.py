@@ -9,13 +9,7 @@ from scipy.stats import chi2
 from conftest import random_partial_dataset
 from fmest import inference
 from fmest.data import DataFormatError, Dataset, Grid, PartialCurve, integrate, matrix_dataset
-from fmest.estimator import (
-    NumericalError,
-    interpolate_rows,
-    mad_cutoffs,
-    resolve_loss,
-    solve_locations,
-)
+from fmest.estimator import NumericalError, interpolate_rows, mad_cutoffs, solve_locations
 from fmest.inference import (
     anova_l2_test,
     bootstrap_ensemble,
@@ -167,19 +161,21 @@ def test_bootstrap_ensemble_equals_replicate_loop(rng, loss):
     """Batches gathered and solved in shared buffers, the last batch a partial
     view of them, give the one-replicate-at-a-time fits bit for bit.  Sparse
     curves leave some grid points unobserved in about a third of the
-    resamples, so interpolated cutoffs and locations are covered too."""
+    resamples, so floored cutoffs and interpolated locations are covered too."""
     ds = random_partial_dataset(rng, n=12, J=6, missing=0.6)
     B, seed = 130, 17
-    resolved = resolve_loss(loss, ds)
-    warm = solve_locations(ds.values, ds.mask, resolved)
+
+    def concrete(values, mask):
+        if isinstance(loss, ScaledHuber):
+            return huber(mad_cutoffs(values, mask, loss.r))
+        return loss
+
+    warm = solve_locations(ds.values, ds.mask, concrete(ds.values, ds.mask))
     rows = []
     for b in range(B):
         boot = resample(ds, seed, b)
-        boot_loss = resolved
-        if isinstance(loss, ScaledHuber):
-            boot_loss = huber(tuning_profile=mad_cutoffs(boot.values, boot.mask, loss.r,
-                                                         points=ds.grid.points))
-        rows.append(solve_locations(boot.values, boot.mask, boot_loss, theta0=warm))
+        rows.append(solve_locations(boot.values, boot.mask, concrete(boot.values, boot.mask),
+                                    theta0=warm))
     expected = interpolate_rows(np.stack(rows), ds.grid.points)
     np.testing.assert_array_equal(bootstrap_ensemble(ds, loss, B, seed).replicates, expected)
 

@@ -113,36 +113,48 @@ def test_loss_spec_validation():
     with pytest.raises(ValueError):
         smoothed_quantile(0.5, 0.0)
     with pytest.raises(ValueError):
-        LossSpec("quantile", tau=0.5, tuning_profile=np.ones(3))
+        LossSpec("quantile", tau=0.5, c=np.ones(3))
     with pytest.raises(ValueError):
-        huber(tuning_profile=np.array([1.0, -1.0]))
+        LossSpec("square", c=0.8)
+    with pytest.raises(ValueError):
+        huber(np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         ScaledHuber(0.0)
 
 
 def test_tuning_profile_cutoff_lookup():
+    """An array cutoff (a tuning profile) is kept as a read-only copy."""
     prof = np.array([0.5, 1.0, 2.0])
-    l = huber(tuning_profile=prof)
-    np.testing.assert_array_equal(l.cutoff(), prof)
-    assert huber(0.8).cutoff() == 0.8
-    assert l.describe() == "huber:profile"
+    l = huber(prof)
+    np.testing.assert_array_equal(l.c, prof)
+    assert l.c is not prof and not l.c.flags.writeable
+    assert huber(0.8).c == 0.8
     # the profile broadcasts over the trailing grid axis
     np.testing.assert_array_equal(psi(l, np.full(3, 5.0)), prof)
     np.testing.assert_array_equal(psi(l, np.full((2, 3), -5.0)), -np.tile(prof, (2, 1)))
 
 
+def _fields(loss):
+    if isinstance(loss, ScaledHuber):
+        return ("huber-scaled", loss.r)
+    return (loss.kind, loss.c, loss.tau, loss.h)
+
+
 def test_describe():
-    assert square().describe() == "square"
-    assert huber(0.8).describe() == "huber:0.8"
-    assert quantile(0.25).describe() == "quantile:0.25"
-    assert smoothed_quantile(0.5, 0.05).describe() == "squantile:0.5,0.05"
-    assert ScaledHuber(3).describe() == "huber-scaled:3"
+    """Each constructor sets exactly the fields that describe its loss."""
+    assert _fields(square()) == ("square", None, None, None)
+    assert _fields(huber(0.8)) == ("huber", 0.8, None, None)
+    assert _fields(quantile(0.25)) == ("quantile", None, 0.25, None)
+    assert _fields(smoothed_quantile(0.5, 0.05)) == ("squantile", None, 0.5, 0.05)
+    assert _fields(ScaledHuber(3)) == ("huber-scaled", 3)
 
 
 def test_parse_loss_round_trip():
-    for text in ["square", "huber:0.8", "quantile:0.25", "squantile:0.5,0.05",
-                 "huber-scaled:3"]:
-        assert parse_loss(text).describe() == text
+    cases = {"square": square(), "huber:0.8": huber(0.8), "quantile:0.25": quantile(0.25),
+             "squantile:0.5,0.05": smoothed_quantile(0.5, 0.05),
+             "huber-scaled:3": ScaledHuber(3.0)}
+    for text, loss in cases.items():
+        assert _fields(parse_loss(text)) == _fields(loss)
 
 
 def test_parse_loss_rejects_garbage():
