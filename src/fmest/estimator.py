@@ -212,6 +212,17 @@ def _flat_fixup(theta, values, mask, flat, c):
     return theta
 
 
+def _resolve_loss(loss, values, mask, work: _Workspace | None = None) -> LossSpec:
+    """The :class:`LossSpec` that ``loss`` stands for on these values: a
+    :class:`ScaledHuber` becomes the huber loss with their :func:`mad_cutoffs`.
+    Raises TypeError for anything that is not a loss."""
+    if isinstance(loss, ScaledHuber):
+        return huber(mad_cutoffs(values, mask, loss.r, work=work))
+    if not isinstance(loss, LossSpec):
+        raise TypeError(f"not a loss: {loss!r}")
+    return loss
+
+
 def solve_locations(values, mask, loss: LossSpec | ScaledHuber,
                     theta0: np.ndarray | None = None, *,
                     work: _Workspace | None = None) -> np.ndarray:
@@ -233,12 +244,9 @@ def solve_locations(values, mask, loss: LossSpec | ScaledHuber,
     values = np.asarray(values, dtype=float)
     if values.shape != mask.shape or values.ndim < 2:
         raise DataFormatError("values/mask must share a (..., n, J) shape")
-    if isinstance(loss, ScaledHuber):
-        if work is None:
-            work = _Workspace.empty(values.shape)
-        loss = huber(mad_cutoffs(values, mask, loss.r, work=work))
-    elif not isinstance(loss, LossSpec):
-        raise TypeError(f"not a loss: {loss!r}")
+    if isinstance(loss, ScaledHuber) and work is None:
+        work = _Workspace.empty(values.shape)  # shared by the MAD sorts and the root solve
+    loss = _resolve_loss(loss, values, mask, work)
     n_eff = mask.sum(axis=-2)
     active = n_eff > 0
 
@@ -416,15 +424,17 @@ def mad_cutoffs(values: np.ndarray, mask: np.ndarray, r: float, *,
     return np.fmax(r * mad, C_FLOOR)
 
 
-def influence_function(dataset: Dataset, loss: LossSpec, theta_hat: np.ndarray,
+def influence_function(dataset: Dataset, loss: LossSpec | ScaledHuber, theta_hat: np.ndarray,
                        y_star: PartialCurve, d_floor: float = D_FLOOR) -> np.ndarray:
     """First-order effect of adding the curve ``y_star`` to the sample.
 
         IF(t) = mask*(t) psi(Y*(t) - theta(t)) / D(t),
         D(t)  = (1/n) sum_i mask_i(t) psi_dot(X_i(t) - theta(t))
 
-    Raises NumericalError when the denominator D falls to ``d_floor`` or
-    below at any grid point.
+    A :class:`ScaledHuber` uses the dataset's MAD cutoffs, the ones
+    :func:`fit` solves with, held fixed.  Raises TypeError for anything
+    that is not a loss, and NumericalError when the denominator D falls to
+    ``d_floor`` or below at any grid point.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     if theta_hat.shape != dataset.grid.points.shape:
@@ -433,6 +443,7 @@ def influence_function(dataset: Dataset, loss: LossSpec, theta_hat: np.ndarray,
         raise DataFormatError("theta_hat must be finite (interpolate undefined points first)")
     values = dataset.values
     mask = dataset.mask
+    loss = _resolve_loss(loss, values, mask)
     resid = np.where(mask, values, theta_hat) - theta_hat
     d = np.where(mask, loss_psi_dot(loss, resid), 0.0).sum(axis=0) / dataset.n
     low = d <= d_floor

@@ -10,6 +10,8 @@ is a percentile bootstrap for one linear functional of the location curve.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +21,9 @@ from .estimator import NumericalError, _Workspace, fit, interpolate_rows, solve_
 from .seeding import as_key, make_rng, substreams
 
 MIN_BOOTSTRAP = 100
-BOOTSTRAP_BATCH = 64  # replicates per solve_locations call in bootstrap_ensemble
+# replicates bootstrap_ensemble holds in its batch buffers at once, split
+# evenly across its threads; each thread solves batches of its share
+BOOTSTRAP_BATCH = 64
 TAIL_TOL = 1e-9  # largest error estimate accepted for the Imhof integral
 EIGEN_TRACE_SHARE = 0.999
 SYMMETRY_TOL = 1e-8
@@ -108,13 +112,25 @@ class BootstrapEnsemble:
     seed: tuple
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsemble:
     """Fit the location on B whole-curve resamples (replicate b uses the
     substream (seed, b)).  ``loss`` goes unchanged to every solve, so a
     scaled-huber loss recomputes its MAD cutoffs on every resample.
 
-    Every batch is gathered into, and solved in, one set of buffers allocated
-    per call; the last, shorter batch uses leading views of them."""
+    The replicates are solved in batches on one thread per usable CPU, each
+    with buffers of its own.  The BOOTSTRAP_BATCH replicates in flight are
+    split across the threads, so memory does not grow with the CPU count.
+    Every replicate's resample is drawn before any thread starts, and every
+    grid point's solve reads only its own replicate's data, so the result is
+    the same, bit for bit, at any thread count and batch size."""
     if B < MIN_BOOTSTRAP:
         raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
     values = dataset.values
@@ -129,20 +145,38 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     # replicate roots cluster around the full-sample fit, so start there
     # (square and quantile losses have closed forms and ignore the start)
     warm = solve_locations(values, mask, loss)
-    shape = (min(BOOTSTRAP_BATCH, B), n, J)
-    v_buf = np.empty(shape)
-    m_buf = np.empty(shape, dtype=bool)
-    w_buf = _Workspace.empty(shape)
-    for start in range(0, B, BOOTSTRAP_BATCH):
-        stop = min(start + BOOTSTRAP_BATCH, B)
-        k = stop - start
-        v, m, work = v_buf[:k], m_buf[:k], w_buf.head(k)
-        # mode="clip" (the indices are in range) lets take write straight
-        # into v and m; the default mode="raise" gathers into a temporary
-        np.take(values, idx[start:stop], axis=0, out=v, mode="clip")
-        np.take(mask, idx[start:stop], axis=0, out=m, mode="clip")
-        out[start:stop] = solve_locations(v, m, loss, theta0=warm, work=work)
-    out = interpolate_rows(out, dataset.grid.points)
+    in_flight = min(BOOTSTRAP_BATCH, B)
+    workers = min(_usable_cpus(), in_flight)
+    size = in_flight // workers  # workers * size <= B, so every worker gets a batch
+    starts = range(0, B, size)
+
+    def solve_batches(starts):
+        """Gather, solve and interpolate the batches that begin at ``starts``
+        in buffers of this call's own; a shorter last batch uses leading
+        views of them."""
+        shape = (size, n, J)
+        v_buf = np.empty(shape)
+        m_buf = np.empty(shape, dtype=bool)
+        w_buf = _Workspace.empty(shape)
+        for start in starts:
+            stop = min(start + size, B)
+            k = stop - start
+            v, m, work = v_buf[:k], m_buf[:k], w_buf.head(k)
+            # mode="clip" (the indices are in range) lets take write straight
+            # into v and m; the default mode="raise" gathers into a temporary
+            np.take(values, idx[start:stop], axis=0, out=v, mode="clip")
+            np.take(mask, idx[start:stop], axis=0, out=m, mode="clip")
+            out[start:stop] = interpolate_rows(
+                solve_locations(v, m, loss, theta0=warm, work=work), dataset.grid.points)
+
+    if workers == 1:
+        solve_batches(starts)
+    else:
+        # batches go round-robin; each thread writes its own rows of out
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            jobs = [pool.submit(solve_batches, starts[w::workers]) for w in range(workers)]
+            for job in jobs:
+                job.result()
     return BootstrapEnsemble(replicates=out, B=B, seed=key)
 
 

@@ -291,3 +291,45 @@ def test_fanova_bytes_equal_at_one_and_two_blas_threads(tmp_path, rng):
         assert proc.returncode == 0, proc.stderr
         results.append(out.read_bytes())
     assert results[0] == results[1]
+
+
+# -- results do not depend on the CPU count ------------------------------------------
+
+_PINNED_MAIN = """
+import json, os, sys
+if sys.argv[1] != "all":
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from fmest.cli import main
+sys.exit(main(json.loads(sys.argv[2])))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs sched_setaffinity and at least 2 usable CPUs")
+def test_trend_and_fanova_bytes_equal_on_one_and_all_cpus(tmp_path, rng):
+    """The bootstrap runs one thread per usable CPU; a child pinned to one
+    CPU and an unpinned one write the same result bytes."""
+    curves = tmp_path / "curves.csv"
+    save_csv(random_partial_dataset(rng, n=12, J=40), curves)
+    a = random_partial_dataset(rng, n=10, J=30, group="a")
+    b = random_partial_dataset(rng, n=10, J=30, group="b")
+    groups = tmp_path / "groups.csv"
+    save_csv(Dataset(a.grid, a.curves + tuple(
+        PartialCurve(c.id + "b", "b", c.values, c.mask) for c in b.curves)), groups)
+    src = str(Path(fmest.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    one_cpu = str(min(os.sched_getaffinity(0)))
+    runs = {"trend": ["trend", "--data", str(curves), "--loss", "huber-scaled:3",
+                      "--probe", "linear", "--B", "200", "--seed", "2"],
+            "fanova": ["fanova", "--data", str(groups), "--B", "200", "--seed", "2"]}
+    for command, argv in runs.items():
+        results = []
+        for cpus in (one_cpu, "all"):
+            out = tmp_path / f"{command}-{cpus}.json"
+            proc = subprocess.run([sys.executable, "-c", _PINNED_MAIN, cpus,
+                                   json.dumps(argv + ["--out", str(out)])],
+                                  capture_output=True, text=True, env=env, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            results.append(out.read_bytes())
+        assert results[0] == results[1], command

@@ -19,6 +19,7 @@ from fmest.estimator import (
     STATUS_INTERPOLATED,
     STATUS_SOLVED,
     STATUS_UNDEFINED,
+    fit,
     fit_marginal,
     influence_function,
     interpolate_rows,
@@ -641,3 +642,16 @@ def test_influence_function_masked_contaminator(rng):
     inf = influence_function(ds, loss, est.theta, y)
     assert np.all(inf[4:] == 0.0)
     assert np.all(inf[:4] != 0.0)
+
+
+def test_influence_function_scaled_huber_uses_fit_cutoffs(rng):
+    """A ScaledHuber gives the influence under the dataset's MAD cutoffs."""
+    ds = random_partial_dataset(rng, n=10, J=8)
+    choice = ScaledHuber(2.0)
+    theta = fit(ds, choice).theta
+    explicit = huber(mad_cutoffs(ds.values, ds.mask, choice.r))
+    for y in ds.curves[:3]:
+        np.testing.assert_array_equal(influence_function(ds, choice, theta, y),
+                                      influence_function(ds, explicit, theta, y))
+    with pytest.raises(TypeError, match="not a loss"):
+        influence_function(ds, "huber:0.8", theta, ds.curves[0])

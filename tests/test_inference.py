@@ -22,7 +22,7 @@ from fmest.inference import (
     step_probe,
     trend_ci,
 )
-from fmest.losses import ScaledHuber, huber, smoothed_quantile, square
+from fmest.losses import ScaledHuber, huber, quantile, smoothed_quantile, square
 
 
 # -- probes ------------------------------------------------------------------
@@ -136,8 +136,10 @@ def test_bootstrap_ensemble_batch_invariance(rng, monkeypatch):
 
 @pytest.mark.parametrize("seed", [21, (4, 2**33, 1)])
 def test_bootstrap_ensemble_draws_resample_curves(rng, monkeypatch, seed):
-    """Replicate b fits the curves resample(ds, seed, b) draws, in order."""
+    """Replicate b fits the curves resample(ds, seed, b) draws, in order.
+    One thread, so that the spy sees the batches in replicate order."""
     ds = random_partial_dataset(rng, n=12, J=6)
+    monkeypatch.setattr(inference, "_usable_cpus", lambda: 1)
     fitted = []
     solve = inference.solve_locations
 
@@ -155,15 +157,18 @@ def test_bootstrap_ensemble_draws_resample_curves(rng, monkeypatch, seed):
         np.testing.assert_array_equal(mask, boot.mask)
 
 
-@pytest.mark.parametrize("loss", [huber(0.8), ScaledHuber(3.0), smoothed_quantile(0.5, 0.1)],
-                         ids=["huber", "scaled-huber", "squantile"])
-def test_bootstrap_ensemble_equals_replicate_loop(rng, loss):
-    """Batches gathered and solved in shared buffers, the last batch a partial
-    view of them, give the one-replicate-at-a-time fits bit for bit.  Sparse
-    curves leave some grid points unobserved in about a third of the
-    resamples, so floored cutoffs and interpolated locations are covered too."""
+@pytest.mark.parametrize("loss", [square(), quantile(0.5), huber(0.8), ScaledHuber(3.0),
+                                  smoothed_quantile(0.5, 0.1)],
+                         ids=["square", "quantile", "huber", "scaled-huber", "squantile"])
+def test_bootstrap_ensemble_equals_replicate_loop(rng, monkeypatch, loss):
+    """Batches gathered and solved in per-thread buffers, the last batch a
+    partial view of them, give the one-replicate-at-a-time fits bit for bit
+    on 1, 2 and 3 threads.  B = 130 and B = 100 both leave a short last
+    batch.  Sparse curves leave some grid points unobserved in about a third
+    of the resamples, so floored cutoffs and interpolated locations are
+    covered too."""
     ds = random_partial_dataset(rng, n=12, J=6, missing=0.6)
-    B, seed = 130, 17
+    seed = 17
 
     def concrete(values, mask):
         if isinstance(loss, ScaledHuber):
@@ -171,13 +176,33 @@ def test_bootstrap_ensemble_equals_replicate_loop(rng, loss):
         return loss
 
     warm = solve_locations(ds.values, ds.mask, concrete(ds.values, ds.mask))
-    rows = []
-    for b in range(B):
-        boot = resample(ds, seed, b)
-        rows.append(solve_locations(boot.values, boot.mask, concrete(boot.values, boot.mask),
-                                    theta0=warm))
-    expected = interpolate_rows(np.stack(rows), ds.grid.points)
-    np.testing.assert_array_equal(bootstrap_ensemble(ds, loss, B, seed).replicates, expected)
+    for B in (130, 100):
+        rows = []
+        for b in range(B):
+            boot = resample(ds, seed, b)
+            rows.append(solve_locations(boot.values, boot.mask,
+                                        concrete(boot.values, boot.mask), theta0=warm))
+        expected = interpolate_rows(np.stack(rows), ds.grid.points)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(inference, "_usable_cpus", lambda: workers)
+            np.testing.assert_array_equal(bootstrap_ensemble(ds, loss, B, seed).replicates,
+                                          expected, err_msg=f"B={B}, {workers} threads")
+
+
+def test_bootstrap_ensemble_worker_error_reaches_caller(rng, monkeypatch):
+    """A NumericalError in one thread's batch reaches the caller unchanged."""
+    ds = random_partial_dataset(rng, n=12, J=6)
+    monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
+    solve = inference.solve_locations
+
+    def failing(values, mask, loss, theta0=None, **kwargs):
+        if values.ndim == 3 and len(values) < 32:  # the short last batch: B=130 at 32 a batch
+            raise NumericalError("root solve did not reach tolerance at grid point 3")
+        return solve(values, mask, loss, theta0=theta0, **kwargs)
+
+    monkeypatch.setattr(inference, "solve_locations", failing)
+    with pytest.raises(NumericalError, match="^root solve did not reach tolerance at grid point 3$"):
+        bootstrap_ensemble(ds, huber(0.8), 130, 5)
 
 
 # -- eigenvalue mixture ----------------------------------------------------------
