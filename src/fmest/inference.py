@@ -10,19 +10,18 @@ is a percentile bootstrap for one linear functional of the location curve.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset, DataFormatError, Grid, integrate
-from .estimator import NumericalError, _Workspace, fit, interpolate_rows, solve_locations
+from .estimator import (NumericalError, _fit_parts, _on_threads, _Workspace, fit,
+                        interpolate_rows, solve_locations)
 from .seeding import as_key, make_rng, substreams
 
 MIN_BOOTSTRAP = 100
-# replicates bootstrap_ensemble holds in its batch buffers at once, split
-# evenly across its threads; each thread solves batches of its share
+# replicates per solve_locations call in bootstrap_ensemble; threads split a
+# batch between them, so memory does not grow with the CPU count
 BOOTSTRAP_BATCH = 64
 TAIL_TOL = 1e-9  # largest error estimate accepted for the Imhof integral
 EIGEN_TRACE_SHARE = 0.999
@@ -112,25 +111,16 @@ class BootstrapEnsemble:
     seed: tuple
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
 def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsemble:
     """Fit the location on B whole-curve resamples (replicate b uses the
     substream (seed, b)).  ``loss`` goes unchanged to every solve, so a
     scaled-huber loss recomputes its MAD cutoffs on every resample.
 
-    The replicates are solved in batches on one thread per usable CPU, each
-    with buffers of its own.  The BOOTSTRAP_BATCH replicates in flight are
-    split across the threads, so memory does not grow with the CPU count.
-    Every replicate's resample is drawn before any thread starts, and every
-    grid point's solve reads only its own replicate's data, so the result is
-    the same, bit for bit, at any thread count and batch size."""
+    Every batch is gathered into, and solved in, one set of buffers allocated
+    per call; the last, shorter batch uses leading views of them.  Each
+    batch's gather, MAD cutoffs and root solve split across the usable CPUs
+    when the batch is large enough (see :func:`solve_locations`); the result
+    is the same, bit for bit, at any thread count."""
     if B < MIN_BOOTSTRAP:
         raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
     values = dataset.values
@@ -145,38 +135,24 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     # replicate roots cluster around the full-sample fit, so start there
     # (square and quantile losses have closed forms and ignore the start)
     warm = solve_locations(values, mask, loss)
-    in_flight = min(BOOTSTRAP_BATCH, B)
-    workers = min(_usable_cpus(), in_flight)
-    size = in_flight // workers  # workers * size <= B, so every worker gets a batch
-    starts = range(0, B, size)
+    shape = (min(BOOTSTRAP_BATCH, B), n, J)
+    v_buf = np.empty(shape)
+    m_buf = np.empty(shape, dtype=bool)
+    w_buf = _Workspace.empty(shape)
+    for start in range(0, B, BOOTSTRAP_BATCH):
+        stop = min(start + BOOTSTRAP_BATCH, B)
+        k = stop - start
+        v, m, work = v_buf[:k], m_buf[:k], w_buf[:k]
+        # mode="clip" (the indices are in range) lets take write straight
+        # into v and m; the default mode="raise" gathers into a temporary.
+        # The gather splits across threads as the solve does.
+        def gather(fits, rows=idx[start:stop], v=v, m=m):
+            np.take(values, rows[fits], axis=0, out=v[fits], mode="clip")
+            np.take(mask, rows[fits], axis=0, out=m[fits], mode="clip")
 
-    def solve_batches(starts):
-        """Gather, solve and interpolate the batches that begin at ``starts``
-        in buffers of this call's own; a shorter last batch uses leading
-        views of them."""
-        shape = (size, n, J)
-        v_buf = np.empty(shape)
-        m_buf = np.empty(shape, dtype=bool)
-        w_buf = _Workspace.empty(shape)
-        for start in starts:
-            stop = min(start + size, B)
-            k = stop - start
-            v, m, work = v_buf[:k], m_buf[:k], w_buf.head(k)
-            # mode="clip" (the indices are in range) lets take write straight
-            # into v and m; the default mode="raise" gathers into a temporary
-            np.take(values, idx[start:stop], axis=0, out=v, mode="clip")
-            np.take(mask, idx[start:stop], axis=0, out=m, mode="clip")
-            out[start:stop] = interpolate_rows(
-                solve_locations(v, m, loss, theta0=warm, work=work), dataset.grid.points)
-
-    if workers == 1:
-        solve_batches(starts)
-    else:
-        # batches go round-robin; each thread writes its own rows of out
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            jobs = [pool.submit(solve_batches, starts[w::workers]) for w in range(workers)]
-            for job in jobs:
-                job.result()
+        _on_threads(gather, _fit_parts(v))
+        out[start:stop] = solve_locations(v, m, loss, theta0=warm, work=work)
+    out = interpolate_rows(out, dataset.grid.points)
     return BootstrapEnsemble(replicates=out, B=B, seed=key)
 
 

@@ -295,10 +295,13 @@ def test_fanova_bytes_equal_at_one_and_two_blas_threads(tmp_path, rng):
 
 # -- results do not depend on the CPU count ------------------------------------------
 
+# PART_MIN = 1 lets the small test batches split across threads
 _PINNED_MAIN = """
 import json, os, sys
 if sys.argv[1] != "all":
     os.sched_setaffinity(0, {int(sys.argv[1])})
+import fmest.estimator
+fmest.estimator.PART_MIN = 1
 from fmest.cli import main
 sys.exit(main(json.loads(sys.argv[2])))
 """
@@ -307,8 +310,8 @@ sys.exit(main(json.loads(sys.argv[2])))
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs sched_setaffinity and at least 2 usable CPUs")
 def test_trend_and_fanova_bytes_equal_on_one_and_all_cpus(tmp_path, rng):
-    """The bootstrap runs one thread per usable CPU; a child pinned to one
-    CPU and an unpinned one write the same result bytes."""
+    """Batched solves split across one thread per usable CPU; a child
+    pinned to one CPU and an unpinned one write the same result bytes."""
     curves = tmp_path / "curves.csv"
     save_csv(random_partial_dataset(rng, n=12, J=40), curves)
     a = random_partial_dataset(rng, n=10, J=30, group="a")

@@ -1,5 +1,6 @@
 """Pointwise solver: closed forms, limits, equivariance, influence."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_partial_dataset
+from fmest import estimator
 from fmest.data import DataFormatError, Grid, PartialCurve, matrix_dataset
 from fmest.estimator import (
     MAX_ITER,
@@ -655,3 +657,20 @@ def test_influence_function_scaled_huber_uses_fit_cutoffs(rng):
                                       influence_function(ds, explicit, theta, y))
     with pytest.raises(TypeError, match="not a loss"):
         influence_function(ds, "huber:0.8", theta, ds.curves[0])
+
+
+def test_fit_parts_split_stacked_fits_on_the_main_thread_only(monkeypatch):
+    """Stacked fits split into contiguous parts, at most one per CPU and each
+    at least PART_MIN values; unstacked values and other threads get one."""
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(estimator, "PART_MIN", 50)
+    stacked = np.empty((10, 4, 5))  # 200 values: room for 4 parts, 3 CPUs
+    assert estimator._fit_parts(stacked) == [slice(0, 3), slice(3, 6), slice(6, 10)]
+    assert estimator._fit_parts(stacked[:5]) == [slice(0, 2), slice(2, 5)]  # 100 values
+    assert estimator._fit_parts(stacked[:2]) == [slice(0, 2)]  # 40 values
+    assert estimator._fit_parts(np.empty((4, 5))) == [slice(None)]
+    got = []
+    worker = threading.Thread(target=lambda: got.append(estimator._fit_parts(stacked)))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive() and got == [[slice(None)]]

@@ -1,13 +1,15 @@
 """Resampling, the chi-square mixture calibration, the L2 group test, and
 percentile intervals for probe coefficients."""
 
+import threading
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import chi2
 
 from conftest import random_partial_dataset
-from fmest import inference
+from fmest import estimator, inference
 from fmest.data import DataFormatError, Dataset, Grid, PartialCurve, integrate, matrix_dataset
 from fmest.estimator import NumericalError, interpolate_rows, mad_cutoffs, solve_locations
 from fmest.inference import (
@@ -136,10 +138,8 @@ def test_bootstrap_ensemble_batch_invariance(rng, monkeypatch):
 
 @pytest.mark.parametrize("seed", [21, (4, 2**33, 1)])
 def test_bootstrap_ensemble_draws_resample_curves(rng, monkeypatch, seed):
-    """Replicate b fits the curves resample(ds, seed, b) draws, in order.
-    One thread, so that the spy sees the batches in replicate order."""
+    """Replicate b fits the curves resample(ds, seed, b) draws, in order."""
     ds = random_partial_dataset(rng, n=12, J=6)
-    monkeypatch.setattr(inference, "_usable_cpus", lambda: 1)
     fitted = []
     solve = inference.solve_locations
 
@@ -161,14 +161,15 @@ def test_bootstrap_ensemble_draws_resample_curves(rng, monkeypatch, seed):
                                   smoothed_quantile(0.5, 0.1)],
                          ids=["square", "quantile", "huber", "scaled-huber", "squantile"])
 def test_bootstrap_ensemble_equals_replicate_loop(rng, monkeypatch, loss):
-    """Batches gathered and solved in per-thread buffers, the last batch a
-    partial view of them, give the one-replicate-at-a-time fits bit for bit
-    on 1, 2 and 3 threads.  B = 130 and B = 100 both leave a short last
-    batch.  Sparse curves leave some grid points unobserved in about a third
-    of the resamples, so floored cutoffs and interpolated locations are
-    covered too."""
+    """Batches gathered and solved in shared buffers, the last batch a partial
+    view of them, give the one-replicate-at-a-time fits bit for bit, with
+    each batch's fits split across 1, 2 and 3 threads.  B = 130 and B = 100
+    both leave a short last batch.  Sparse curves leave some grid points
+    unobserved in about a third of the resamples, so floored cutoffs and
+    interpolated locations are covered too."""
     ds = random_partial_dataset(rng, n=12, J=6, missing=0.6)
     seed = 17
+    monkeypatch.setattr(estimator, "PART_MIN", 1)  # split these small batches too
 
     def concrete(values, mask):
         if isinstance(loss, ScaledHuber):
@@ -183,24 +184,26 @@ def test_bootstrap_ensemble_equals_replicate_loop(rng, monkeypatch, loss):
             rows.append(solve_locations(boot.values, boot.mask,
                                         concrete(boot.values, boot.mask), theta0=warm))
         expected = interpolate_rows(np.stack(rows), ds.grid.points)
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(inference, "_usable_cpus", lambda: workers)
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(estimator, "_usable_cpus", lambda: threads)
             np.testing.assert_array_equal(bootstrap_ensemble(ds, loss, B, seed).replicates,
-                                          expected, err_msg=f"B={B}, {workers} threads")
+                                          expected, err_msg=f"B={B}, {threads} threads")
 
 
-def test_bootstrap_ensemble_worker_error_reaches_caller(rng, monkeypatch):
-    """A NumericalError in one thread's batch reaches the caller unchanged."""
+def test_bootstrap_ensemble_thread_error_reaches_caller(rng, monkeypatch):
+    """A NumericalError in the part of a batch solved on another thread
+    reaches the caller unchanged."""
     ds = random_partial_dataset(rng, n=12, J=6)
-    monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
-    solve = inference.solve_locations
+    monkeypatch.setattr(estimator, "PART_MIN", 1)
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+    solve = estimator._root_solve
 
-    def failing(values, mask, loss, theta0=None, **kwargs):
-        if values.ndim == 3 and len(values) < 32:  # the short last batch: B=130 at 32 a batch
+    def failing(*args):
+        if threading.current_thread() is not threading.main_thread():
             raise NumericalError("root solve did not reach tolerance at grid point 3")
-        return solve(values, mask, loss, theta0=theta0, **kwargs)
+        return solve(*args)
 
-    monkeypatch.setattr(inference, "solve_locations", failing)
+    monkeypatch.setattr(estimator, "_root_solve", failing)
     with pytest.raises(NumericalError, match="^root solve did not reach tolerance at grid point 3$"):
         bootstrap_ensemble(ds, huber(0.8), 130, 5)
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fmest import estimator
 from fmest.data import DataFormatError, Grid, integrate, matrix_dataset
 from fmest.estimator import fit_marginal
 from fmest.inference import anova_l2_test, quadratic_probe
@@ -151,6 +152,27 @@ def test_run_ise_study_thread_invariance():
         serial = driver(ScenarioConfig(threads=1, **base))
         threaded = driver(ScenarioConfig(threads=3, **base))
         assert serial == threaded, driver.__name__
+
+
+def test_study_solves_stay_on_their_repetition_thread(monkeypatch):
+    """A study's parallelism is its repetitions: at threads = 1 as at 2, no
+    batched solve splits across CPUs."""
+    monkeypatch.setattr(estimator, "PART_MIN", 1)
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+    parts = []
+    split = estimator._fit_parts
+
+    def spy(values):
+        parts.append(split(values))
+        return parts[-1]
+
+    monkeypatch.setattr(estimator, "_fit_parts", spy)
+    for threads in (1, 2):
+        run_coverage_study(ScenarioConfig(
+            model=model_preset("model1"), scheme=random_interval(), n=15, grid_size=25,
+            losses=("huber-scaled:3",), B=100, repetitions=2, seed=200, probes=("linear",),
+            threads=threads))
+    assert parts and all(p == [slice(None)] for p in parts)
 
 
 def test_run_coverage_study_rows():
