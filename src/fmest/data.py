@@ -236,16 +236,21 @@ def integrate(f, grid: Grid) -> float:
     return float(np.dot(grid.weights, f))
 
 
+def _restrict_grid(grid: Grid, lo: float, hi: float) -> tuple[np.ndarray, Grid]:
+    """The grid points with lo <= t <= hi (unit coordinates): which ones, as
+    a boolean index into ``grid``, and the grid they make."""
+    keep = (grid.points >= lo) & (grid.points <= hi)
+    if keep.sum() < 2:
+        raise DataFormatError(f"restriction to [{lo:g}, {hi:g}] leaves fewer than 2 grid points")
+    return keep, Grid.from_unit_points(grid.points[keep], offset=grid.offset, scale=grid.scale)
+
+
 def restrict_dataset(dataset: Dataset, lo: float, hi: float) -> Dataset:
     """Keep only grid points with lo <= t <= hi (unit coordinates).
 
     Curves with no observations left on the restricted grid are dropped.
     """
-    keep = (dataset.grid.points >= lo) & (dataset.grid.points <= hi)
-    if keep.sum() < 2:
-        raise DataFormatError(f"restriction to [{lo:g}, {hi:g}] leaves fewer than 2 grid points")
-    sub = Grid.from_unit_points(dataset.grid.points[keep],
-                                offset=dataset.grid.offset, scale=dataset.grid.scale)
+    keep, sub = _restrict_grid(dataset.grid, lo, hi)
     mask = dataset.mask[:, keep]
     rows = mask.any(axis=1)
     if not rows.any():

@@ -51,7 +51,12 @@ PART_MIN = 200_000
 
 
 class NumericalError(RuntimeError):
-    """A solver or denominator failed numerically."""
+    """A solver or denominator failed numerically.
+
+    ``fit``, set by a stacked root solve, is the index of the failing fit
+    along the leading axes of its values; otherwise it is None."""
+
+    fit = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,14 +327,18 @@ def solve_locations(values, mask, loss: LossSpec | ScaledHuber,
     # each fit's root reads only its own columns, so parts change no bit
     return np.concatenate(_on_threads(
         lambda fits: _root_solve(values[fits], mask[fits], loss, c[fits] if np.ndim(c) else c,
-                                 None if theta0 is None else theta0[fits], work[fits]),
+                                 None if theta0 is None else theta0[fits], work[fits],
+                                 fits.start or 0),
         _fit_parts(values)))
 
 
-def _root_solve(values, mask, loss: LossSpec, c, theta0, work: _Workspace) -> np.ndarray:
+def _root_solve(values, mask, loss: LossSpec, c, theta0, work: _Workspace,
+                first: int = 0) -> np.ndarray:
     """The bracketed root solve of :func:`solve_locations` for a huber or
     smoothed-quantile loss, with ``c`` (its cutoff or half-width) and
-    ``theta0`` broadcast to the fitted shape."""
+    ``theta0`` broadcast to the fitted shape.  ``first`` is the index of
+    the leading fit of ``values`` in the caller's stack; an error names the
+    failing fit by its index there."""
     n_eff = mask.sum(axis=-2)
     active = n_eff > 0
     lo = np.min(values, axis=-2, where=mask, initial=np.inf)
@@ -397,10 +406,13 @@ def _root_solve(values, mask, loss: LossSpec, c, theta0, work: _Workspace) -> np
 
     bad = active & (np.abs(g) > tol_vec)
     if np.any(bad):
-        key = tuple(np.argwhere(bad)[0])
-        raise NumericalError(
-            f"root solve did not reach tolerance at grid point {key[-1]} (|psi-sum|={abs(g[key]):.3e})"
-        )
+        key = tuple(int(i) for i in np.argwhere(bad)[0])
+        fit = (first + key[0], *key[1:-1]) if len(key) > 1 else None
+        where = f" for fit {', '.join(map(str, fit))}" if fit else ""
+        exc = NumericalError(f"root solve did not reach tolerance{where} at grid point "
+                             f"{key[-1]} (|psi-sum|={abs(g[key]):.3e})")
+        exc.fit = fit
+        raise exc
 
     flat = active & (s == 0)
     if np.any(flat):

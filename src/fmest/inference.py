@@ -120,7 +120,8 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     per call; the last, shorter batch uses leading views of them.  Each
     batch's gather, MAD cutoffs and root solve split across the usable CPUs
     when the batch is large enough (see :func:`solve_locations`); the result
-    is the same, bit for bit, at any thread count."""
+    is the same, bit for bit, at any thread count.  A root solve that fails
+    is re-raised naming the replicate."""
     if B < MIN_BOOTSTRAP:
         raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
     values = dataset.values
@@ -151,7 +152,12 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
             np.take(mask, rows[fits], axis=0, out=m[fits], mode="clip")
 
         _on_threads(gather, _fit_parts(v))
-        out[start:stop] = solve_locations(v, m, loss, theta0=warm, work=work)
+        try:
+            out[start:stop] = solve_locations(v, m, loss, theta0=warm, work=work)
+        except NumericalError as exc:
+            if exc.fit is None:  # not a stacked root solve's error
+                raise
+            raise NumericalError(f"bootstrap replicate {start + exc.fit[0]}: {exc}") from exc
     out = interpolate_rows(out, dataset.grid.points)
     return BootstrapEnsemble(replicates=out, B=B, seed=key)
 

@@ -10,24 +10,39 @@ mu + Cauchy noise on that segment only.
 Three independent substreams (base draw / scale draw / contamination) keep
 the uncontaminated part of a contaminated draw bit-identical to the plain
 draw under the same seed.
+
+The study drivers draw each repetition's dataset on its own substream, on
+``config.threads`` pool threads.  The ISE study stacks consecutive
+repetitions and fits each batch in one solve per loss; the coverage and
+size studies run each repetition's bootstrap on its pool thread.  Either
+way a study's numbers do not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, DataFormatError, Grid, integrate, matrix_dataset, restrict_dataset
-from .estimator import NumericalError, STATUS_UNDEFINED, MEstimate, fit
+from .data import (Dataset, DataFormatError, Grid, _restrict_grid, integrate, matrix_dataset,
+                   restrict_dataset)
+from .estimator import (NumericalError, STATUS_UNDEFINED, MEstimate, _Workspace,
+                        interpolate_rows, solve_locations)
 from .inference import anova_l2_test, bootstrap_ensemble, parse_probe, trend_ci
 from .losses import parse_loss
 from .sampling import MissingScheme, generate_masks, parse_scheme
 from .seeding import as_key, make_rng
 
 CHOL_JITTER = 1e-10
+# run_ise_study fits its repetitions in batches of at most this many values
+# (repetitions x curves x grid points), one solve per loss and batch.  On a
+# 2-core x86_64 host, batches of 4 repetitions of 80 curves on 90 points made
+# an ISE study of 160 repetitions about 30% faster than single fits, for 2 MB
+# more peak memory; batches of 8 gained about 7% more for twice that memory.
+ISE_BATCH = 32_768
 
 
 @dataclass(frozen=True)
@@ -151,14 +166,22 @@ def model_preset(name: str) -> ProcessModel:
         ) from None
 
 
-def _correlated_factor(points: np.ndarray, d: float) -> np.ndarray:
+@functools.lru_cache(maxsize=4)
+def _correlated_factor(points: bytes, d: float) -> np.ndarray:
+    """Lower Cholesky factor of the correlation exp(-|s - t| / d), plus
+    CHOL_JITTER on its diagonal, at the float64 grid points whose bytes are
+    ``points``.  Cached, because a study draws every repetition on one grid;
+    the factor is read-only, since every caller shares it."""
+    points = np.frombuffer(points)
     gap = np.abs(points[:, None] - points[None, :])
     cov = np.exp(-gap / d)
     cov[np.diag_indices_from(cov)] += CHOL_JITTER
     try:
-        return np.linalg.cholesky(cov)
+        factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"correlation matrix is not positive definite: {exc}") from exc
+    factor.setflags(write=False)
+    return factor
 
 
 def _draw_errors(error: ErrorModel, rng: np.random.Generator, n: int,
@@ -169,7 +192,7 @@ def _draw_errors(error: ErrorModel, rng: np.random.Generator, n: int,
         if error.family == "student":
             return rng.standard_t(error.df, size=(n, points.size))
         return rng.standard_cauchy(size=(n, points.size))
-    L = _correlated_factor(points, error.d)
+    L = _correlated_factor(points.tobytes(), error.d)
     z = rng.standard_normal((n, points.size)) @ L.T
     if error.family == "gaussian":
         return z
@@ -204,7 +227,7 @@ def generate_curves(model: ProcessModel, n: int, grid: Grid, seed) -> np.ndarray
             if cont.d is None:
                 noise = rng_c.standard_cauchy(size=(n, m))
             else:
-                L = _correlated_factor(points[seg], cont.d)
+                L = _correlated_factor(points[seg].tobytes(), cont.d)
                 z = rng_c.standard_normal((n, m)) @ L.T
                 mix = rng_c.chisquare(1.0, size=n)
                 noise = z / np.sqrt(mix)[:, None]
@@ -300,25 +323,50 @@ def run_ise_study(config: ScenarioConfig) -> list[dict]:
     Repetition r draws curves on substream (seed, r, 0) and masks on
     (seed, r, 1); the analysis restricts to [eps, 1-eps] when the scheme
     carries a trim.
+
+    Consecutive repetitions, at most ISE_BATCH values of them, are drawn on
+    ``config.threads`` pool threads and copied into one stacked (k, n, J)
+    value and mask buffer, allocated once per study with the solver's
+    workspace; curves the trim drops become unobserved rows.  Each loss
+    fits a batch in one :func:`solve_locations` call on this thread.  A fit
+    reads only its own repetition's rows, so every ISE equals that of
+    fitting the repetition alone, bit for bit, at any thread count.
     """
     grid = Grid.uniform(config.grid_size)
     losses = [(text, parse_loss(text)) for text in config.losses]
     key = as_key(config.seed)
+    R, n = config.repetitions, config.n
+    eps = config.scheme.epsilon_trim
+    points = _restrict_grid(grid, eps, 1.0 - eps)[1].points if eps > 0 else grid.points
+    k = max(1, min(R, ISE_BATCH // (n * points.size)))
+    shape = (k, n, points.size)
+    v_buf, m_buf, w_buf = np.empty(shape), np.empty(shape, dtype=bool), _Workspace.empty(shape)
+    theta = {text: np.empty((R, points.size)) for text, _ in losses}
 
-    def worker(r: int) -> dict:
-        dataset = _draw_dataset(config, grid, (*key, r))
-        mu = model_mean(config.model, dataset.grid.points)
-        out = {}
-        for text, choice in losses:
-            out[text] = ise(fit(dataset, choice), mu)
-        return out
+    def draw(r: int) -> Dataset:
+        return _draw_dataset(config, grid, (*key, r))
 
-    per_rep = _run_reps(worker, config.repetitions, config.threads)
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:  # the draws only
+        for start in range(0, R, k):
+            stop = min(start + k, R)
+            datasets = list(pool.map(draw, range(start, stop)))
+            v, m, work = v_buf[:stop - start], m_buf[:stop - start], w_buf[:stop - start]
+            for i, dataset in enumerate(datasets):
+                v[i, :dataset.n] = dataset.values
+                m[i, :dataset.n] = dataset.mask
+                m[i, dataset.n:] = False
+            for text, choice in losses:
+                try:
+                    theta[text][start:stop] = solve_locations(v, m, choice, work=work)
+                except NumericalError as exc:
+                    raise NumericalError(f"repetition {start + exc.fit[0]}, loss {text}: "
+                                         f"{exc}") from exc
+    mu = model_mean(config.model, points)
     name = config.model_name or config.model.mean_kind
     rows = []
     medians = {}
     for text, _ in losses:
-        med = float(np.median([rep[text] for rep in per_rep]))
+        med = float(np.median([ise(row, mu) for row in interpolate_rows(theta[text], points)]))
         medians[text] = med
         rows.append({"scenario": name, "estimator": text, "probe": "",
                      "metric": "median_ise", "value": med})

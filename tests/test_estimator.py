@@ -674,3 +674,23 @@ def test_fit_parts_split_stacked_fits_on_the_main_thread_only(monkeypatch):
     worker.start()
     worker.join(timeout=10)
     assert not worker.is_alive() and got == [[slice(None)]]
+
+
+def test_stacked_root_solve_error_names_the_fit(rng, monkeypatch):
+    """A stacked solve that fails names the failing fit by its index in the
+    whole stack, also when that fit sits in a part solved on another thread."""
+    monkeypatch.setattr(estimator, "MAX_ITER", 1)
+    monkeypatch.setattr(estimator, "PART_MIN", 1)
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+    values = np.ones((3, 6, 4))  # equal values: fits 0 and 1 converge at once
+    values[2] = rng.standard_normal((6, 4))
+    mask = np.ones(values.shape, dtype=bool)
+    assert estimator._fit_parts(values) == [slice(0, 1), slice(1, 3)]
+    with pytest.raises(NumericalError,
+                       match=r"^root solve did not reach tolerance for fit 2 at grid point \d+ ") as err:
+        solve_locations(values, mask, huber(0.8))
+    assert err.value.fit == (2,) and type(err.value.fit[0]) is int
+    with pytest.raises(NumericalError,
+                       match=r"^root solve did not reach tolerance at grid point \d+ ") as err:
+        solve_locations(values[2], mask[2], huber(0.8))
+    assert err.value.fit is None

@@ -208,6 +208,29 @@ def test_bootstrap_ensemble_thread_error_reaches_caller(rng, monkeypatch):
         bootstrap_ensemble(ds, huber(0.8), 130, 5)
 
 
+def test_bootstrap_ensemble_error_names_the_replicate(rng, monkeypatch):
+    """A root solve that fails in the second batch names the replicate by
+    its index in the ensemble, not in its batch."""
+    ds = random_partial_dataset(rng, n=12, J=6)
+    solve = inference.solve_locations
+    batches = []
+
+    def spy(values, mask, loss, theta0=None, **kwargs):
+        if values.ndim == 3:
+            batches.append(values.shape[0])
+            if len(batches) == 2:
+                monkeypatch.setattr(estimator, "MAX_ITER", 1)
+        return solve(values, mask, loss, theta0=theta0, **kwargs)
+
+    monkeypatch.setattr(inference, "solve_locations", spy)
+    with pytest.raises(NumericalError, match=r"^bootstrap replicate (\d+): root solve did not "
+                                             r"reach tolerance for fit (\d+) at grid point") as err:
+        bootstrap_ensemble(ds, huber(0.8), 130, 5)
+    assert batches == [64, 64]
+    fit = err.value.__cause__.fit[0]
+    assert err.value.args[0].startswith(f"bootstrap replicate {64 + fit}: ")
+
+
 # -- eigenvalue mixture ----------------------------------------------------------
 
 def test_eigen_mixture_rank_one():

@@ -1,21 +1,27 @@
 """Synthetic models, the study drivers, and scenario files."""
 
+import math
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from fmest import estimator
+from fmest import estimator, simulation
 from fmest.data import DataFormatError, Grid, integrate, matrix_dataset
-from fmest.estimator import fit_marginal
+from fmest.estimator import NumericalError, fit, fit_marginal
 from fmest.inference import anova_l2_test, quadratic_probe
 from fmest.losses import huber, parse_loss
-from fmest.sampling import complete, generate_masks, random_interval
+from fmest.sampling import complete, generate_masks, parse_scheme, random_interval
 from fmest.simulation import (
+    CHOL_JITTER,
     ConstantScale,
     Contamination,
     ErrorModel,
     ProcessModel,
     RandomScale,
     ScenarioConfig,
+    _draw_dataset,
     generate_curves,
     ise,
     model_mean,
@@ -98,6 +104,56 @@ def test_gaussian_curves_have_exponential_correlation():
     assert emp == pytest.approx(np.exp(-gap / 0.3), abs=0.05)
 
 
+def test_correlation_factor_is_cached_read_only():
+    """The cached factor is the fresh Cholesky factor, shared read-only, and
+    curves drawn with a warm cache have the bytes of a cold one."""
+    model = model_preset("model6")  # correlated errors and contamination
+    simulation._correlated_factor.cache_clear()
+    cold = generate_curves(model, 8, GRID, 5)
+    assert simulation._correlated_factor.cache_info().currsize == 2
+    points = GRID.points
+    factor = simulation._correlated_factor(points.tobytes(), 0.3)
+    cov = np.exp(-np.abs(points[:, None] - points[None, :]) / 0.3)
+    np.testing.assert_array_equal(factor, np.linalg.cholesky(cov + CHOL_JITTER * np.eye(50)))
+    assert not factor.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        factor[0, 0] = 0.0
+    np.testing.assert_array_equal(generate_curves(model, 8, GRID, 5), cold)
+    for d in np.linspace(0.1, 1.0, 10):
+        simulation._correlated_factor(points.tobytes(), float(d))
+    info = simulation._correlated_factor.cache_info()
+    assert info.currsize == info.maxsize <= 8
+
+
+def test_correlation_factor_cache_under_concurrent_draws():
+    """Threads drawing on a cold cache, several grids at once, get the
+    serial draws' bytes."""
+    model = model_preset("model6")
+    grids = [Grid.uniform(j) for j in (30, 40, 50)]
+    jobs = [(grids[i % 3], i) for i in range(24)]
+    expected = [generate_curves(model, 4, grid, seed) for grid, seed in jobs]
+    simulation._correlated_factor.cache_clear()
+    got = [None] * len(jobs)
+
+    def work(part):
+        for i in range(part, len(jobs), 8):
+            got[i] = generate_curves(model, 4, *jobs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(p,)) for p in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_cauchy_margins_are_heavy():
     m = model_preset("model3")
     x = generate_curves(m, 2000, GRID, 13)
@@ -152,6 +208,74 @@ def test_run_ise_study_thread_invariance():
         serial = driver(ScenarioConfig(threads=1, **base))
         threaded = driver(ScenarioConfig(threads=3, **base))
         assert serial == threaded, driver.__name__
+
+
+ALL_LOSSES = ("square", "huber:0.8", "huber-scaled:3", "quantile:0.5", "quantile:0.25",
+              "squantile:0.5,0.1")
+
+
+@pytest.mark.parametrize("scheme,trim", [("snippet:0.06", 0.2),
+                                         ("random-interval:0.3,0.3", 0.05)])
+def test_run_ise_study_equals_repetition_loop(scheme, trim, monkeypatch):
+    """Every ISE of the batched study equals, bit for bit, that of fitting
+    its repetition alone, at 1 and 3 threads; 37 repetitions fill batches
+    of 18 or 12 and a last one of 1, and under the snippet scheme the trim
+    drops curves, so batches carry unobserved padding rows."""
+    cfg = dict(model=model_preset("model3"), scheme=parse_scheme(scheme, trim), n=30,
+               grid_size=100, losses=ALL_LOSSES, repetitions=37, seed=9, model_name="m3")
+    grid = Grid.uniform(100)
+    datasets = [_draw_dataset(ScenarioConfig(**cfg), grid, (9, r)) for r in range(37)]
+    if scheme.startswith("snippet"):
+        assert min(ds.n for ds in datasets) < 30  # the trim dropped curves
+    mu = model_mean(cfg["model"], datasets[0].grid.points)
+    loop = {text: [ise(fit(ds, parse_loss(text)), mu) for ds in datasets] for text in ALL_LOSSES}
+    medians = {text: float(np.median(v)) for text, v in loop.items()}
+    expected = [{"scenario": "m3", "estimator": text, "probe": "", "metric": "median_ise",
+                 "value": medians[text]} for text in ALL_LOSSES]
+    expected += [{"scenario": "m3", "estimator": text, "probe": "",
+                  "metric": "median_ise_ratio_square_over_this",
+                  "value": medians["square"] / medians[text]} for text in ALL_LOSSES[1:]]
+    seen = []
+
+    def spy(estimate, mu_true):
+        seen.append(ise(estimate, mu_true))
+        return seen[-1]
+
+    monkeypatch.setattr(simulation, "ise", spy)
+    for threads in (1, 3):
+        seen.clear()
+        assert run_ise_study(ScenarioConfig(threads=threads, **cfg)) == expected
+        assert seen == [x for text in ALL_LOSSES for x in loop[text]]
+
+
+def test_run_ise_study_solves_stacked_batches_on_the_main_thread(monkeypatch):
+    """One solve per loss and batch of k repetitions, on (k, n, J') stacked
+    values, from the main thread even when the draws run on pool threads."""
+    calls = []
+    solve = simulation.solve_locations
+
+    def spy(values, mask, loss, **kwargs):
+        calls.append((values.shape, threading.current_thread() is threading.main_thread()))
+        return solve(values, mask, loss, **kwargs)
+
+    monkeypatch.setattr(simulation, "solve_locations", spy)
+    run_ise_study(ScenarioConfig(model=model_preset("model1"),
+                                 scheme=parse_scheme("snippet:0.06", 0.2), n=30, grid_size=100,
+                                 losses=("square", "huber:0.8", "quantile:0.5"),
+                                 repetitions=37, seed=3, threads=2))
+    k = simulation.ISE_BATCH // (30 * 60)  # 60 grid points in [0.2, 0.8]
+    assert len(calls) == 3 * math.ceil(37 / k)
+    assert [shape for shape, _ in calls] == [(k, 30, 60)] * 6 + [(37 - 2 * k, 30, 60)] * 3
+    assert all(main for _, main in calls)
+
+
+def test_run_ise_study_error_names_repetition_and_loss(monkeypatch):
+    monkeypatch.setattr(estimator, "MAX_ITER", 1)
+    cfg = ScenarioConfig(model=model_preset("model1"), scheme=random_interval(), n=20,
+                         grid_size=30, losses=("square", "huber:0.8"), repetitions=5, seed=1)
+    with pytest.raises(NumericalError, match=r"^repetition 0, loss huber:0\.8: root solve did "
+                                             r"not reach tolerance for fit 0 at grid point \d+ "):
+        run_ise_study(cfg)
 
 
 def test_study_solves_stay_on_their_repetition_thread(monkeypatch):
