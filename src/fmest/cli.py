@@ -168,7 +168,7 @@ def _cmd_masks(args) -> int:
     started = _utcnow()
     scheme = parse_scheme(args.scheme, epsilon_trim=args.trim)
     grid = Grid.uniform(args.grid_size)
-    masks = generate_masks(scheme, args.n, grid, args.seed)
+    masks, redraws = generate_masks(scheme, args.n, grid, args.seed, return_redraws=True)
     b_hat = empirical_b(masks, grid)
     b_true = analytic_b(scheme, grid)
     w_n = sup_deviation(masks, b_true)
@@ -179,7 +179,7 @@ def _cmd_masks(args) -> int:
     print(f"W_n = {w_n:.6g} over {args.n} masks ({scheme.describe()})")
     _write_manifest(out, "masks",
                     {"scheme": args.scheme, "n": args.n, "grid_size": args.grid_size,
-                     "trim": args.trim, "w_n": w_n},
+                     "trim": args.trim, "w_n": w_n, "redraws": redraws},
                     args.seed, [out], started)
     return 0
 
@@ -223,8 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo scenario file")
     p_sim.add_argument("--config", required=True, help="flat key=value scenario file")
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_sim.add_argument("--threads", type=int, default=None, help="worker threads "
-                       "(results are identical for any value)")
+    p_sim.add_argument("--threads", type=int, default=None,
+                       help="worker threads of a coverage or size study; an ise study "
+                       "draws on the calling thread (results are identical for any value)")
     p_sim.add_argument("--out", required=True, help="output CSV")
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -10,13 +10,12 @@ available on request); the analytic coverage functions returned by
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import DataFormatError, Grid
-from .seeding import as_key, substreams
+from .seeding import as_key, reseeded, stream_states
 
 SCHEME_KINDS = ("complete", "random-interval", "fixed-intervals", "snippet", "sparse")
 
@@ -136,43 +135,43 @@ def _interval_edges(scheme: MissingScheme):
     return (0.0, *scheme.breakpoints, 1.0)
 
 
-def _rescale(v: float, eps: float) -> float:
-    return eps + (1.0 - 2.0 * eps) * v
-
-
-def _piece_spans(scheme: MissingScheme, points: list) -> list[tuple[int, int]]:
-    """Grid-index range [k0, k1) of each fixed-intervals piece: half-open
-    pieces, the last one closed."""
+def _piece_spans(scheme: MissingScheme, points: np.ndarray) -> np.ndarray:
+    """(m, 2) grid-index ranges [k0, k1) of the fixed-intervals pieces:
+    half-open pieces, the last one closed."""
     edges = _interval_edges(scheme)
-    spans = [(bisect_left(points, a), bisect_left(points, b))
-             for a, b in zip(edges[:-1], edges[1:])]
-    spans[-1] = (spans[-1][0], bisect_right(points, edges[-1]))
+    spans = np.stack([np.searchsorted(points, edges[:-1]),
+                      np.searchsorted(points, edges[1:])], axis=1)
+    spans[-1, 1] = np.searchsorted(points, edges[-1], side="right")
     return spans
 
 
-def _draw_span(scheme: MissingScheme, rng: np.random.Generator, points: list,
-               pieces) -> tuple[int, int]:
-    """Grid-index range [k0, k1) inside one raw draw's observation window
-    (the sparse envelope); ``points`` is the sorted grid as floats."""
+def _window_spans(scheme: MissingScheme, raw: np.ndarray, points: np.ndarray,
+                  pieces) -> tuple[np.ndarray, np.ndarray]:
+    """Grid-index ranges [k0, k1) inside the observation windows (the sparse
+    envelopes) of a batch of raw draws: piece indices for fixed-intervals,
+    snippet starts, or (m, 2) Beta pairs, which are rescaled into
+    [epsilon_trim, 1 - epsilon_trim]."""
     if scheme.kind == "fixed-intervals":
-        return pieces[int(rng.integers(0, len(pieces)))]
+        return pieces[raw, 0], pieces[raw, 1]
     if scheme.kind == "snippet":
-        lo = rng.uniform(0.0, 1.0 - scheme.d)
-        hi = lo + scheme.d
+        lo, hi = raw, raw + scheme.d
     else:
-        v0, v1 = (_rescale(v, scheme.epsilon_trim)
-                  for v in rng.beta(scheme.beta_a, scheme.beta_b, size=2).tolist())
-        lo, hi = min(v0, v1), max(v0, v1)
-    return bisect_left(points, lo), bisect_right(points, hi)
+        eps = scheme.epsilon_trim
+        v = eps + (1.0 - 2.0 * eps) * raw
+        lo, hi = v.min(axis=1), v.max(axis=1)
+    return np.searchsorted(points, lo), np.searchsorted(points, hi, side="right")
 
 
 def generate_masks(scheme: MissingScheme, n: int, grid: Grid, rng_seed,
                    return_redraws: bool = False):
     """(n, J) boolean masks; every row has at least one observed point.
 
-    Curve i draws on the substream (rng_seed, i), redraws included.  Each
-    draw is reduced to the index range of the grid points in its window,
-    and the masks are built from those ranges in one broadcast comparison.
+    Curve i draws on the substream (rng_seed, i), redraws included.  The
+    loop over curves only takes each first draw's raw variates; their
+    windows, index ranges and masks are then computed for all curves at
+    once.  A curve whose first mask is empty redraws on its own stream,
+    reseeded from the state the batched derivation gave it and replayed
+    past that first draw.
     """
     if n < 1:
         raise DataFormatError("need at least one curve")
@@ -181,22 +180,50 @@ def generate_masks(scheme: MissingScheme, n: int, grid: Grid, rng_seed,
     if scheme.kind == "complete":
         masks = np.ones((n, J), dtype=bool)
         return (masks, 0) if return_redraws else masks
-    points = grid.points.tolist()
+    points = grid.points
     pieces = _piece_spans(scheme, points) if scheme.kind == "fixed-intervals" else None
-    sparse = scheme.kind == "sparse"
-    uniforms = np.empty((n, J)) if sparse else None
-    spans = []
-    redraws = 0
-    for i, rng in enumerate(substreams(key, n)):
-        for _ in range(_MAX_REDRAWS):
-            k0, k1 = _draw_span(scheme, rng, points, pieces)
-            if sparse:
-                uniforms[i] = rng.random(J)
-                observed = (uniforms[i, k0:k1] < scheme.p).any()
-            else:
-                observed = k0 < k1
-            if observed:
-                spans.append((k0, k1))
+    uniforms = np.empty((n, J)) if scheme.kind == "sparse" else None
+    if scheme.kind == "fixed-intervals":
+        raw = np.empty(n, dtype=np.intp)
+        count = len(pieces)
+
+        def draw(rng, i):
+            raw[i] = rng.integers(0, count)
+    elif scheme.kind == "snippet":
+        raw = np.empty(n)
+        width = 1.0 - scheme.d
+
+        def draw(rng, i):
+            raw[i] = rng.uniform(0.0, width)
+    else:
+        raw = np.empty((n, 2))
+        a, b = scheme.beta_a, scheme.beta_b
+
+        def draw(rng, i):
+            raw[i] = rng.beta(a, b, size=2)
+            if uniforms is not None:
+                rng.random(out=uniforms[i])
+
+    def build(rows):
+        k0, k1 = _window_spans(scheme, raw[rows], points, pieces)
+        cols = np.arange(J)
+        masks = (cols >= k0[:, None]) & (cols < k1[:, None])
+        if uniforms is not None:
+            masks &= uniforms[rows] < scheme.p
+        return masks
+
+    states = stream_states(key, n)
+    for i, rng in enumerate(reseeded(states)):
+        draw(rng, i)
+    masks = build(slice(None))
+    empty = np.flatnonzero(~masks.any(axis=1)).tolist()
+    redraws = len(empty)
+    for i, rng in zip(empty, reseeded([states[i] for i in empty])):
+        draw(rng, i)  # the empty first draw again
+        for _ in range(_MAX_REDRAWS - 1):
+            draw(rng, i)
+            masks[i] = build(slice(i, i + 1))
+            if masks[i].any():
                 break
             redraws += 1
         else:
@@ -204,11 +231,6 @@ def generate_masks(scheme: MissingScheme, n: int, grid: Grid, rng_seed,
                 f"scheme {scheme.describe()} produced {_MAX_REDRAWS} empty masks in a row; "
                 f"it is incompatible with this grid"
             )
-    spans = np.array(spans)
-    cols = np.arange(J)
-    masks = (cols >= spans[:, :1]) & (cols < spans[:, 1:])
-    if sparse:
-        masks &= uniforms < scheme.p
     return (masks, redraws) if return_redraws else masks
 
 
@@ -282,7 +304,7 @@ def analytic_b(scheme: MissingScheme, grid: Grid) -> np.ndarray:
         raw = 1.0 - F ** 2 - (1.0 - F) ** 2
         return raw / (1.0 - _empty_prob(scheme, points, F))
     if scheme.kind == "fixed-intervals":
-        spans = [(k0, k1) for k0, k1 in _piece_spans(scheme, points.tolist()) if k0 < k1]
+        spans = [(k0, k1) for k0, k1 in _piece_spans(scheme, points) if k0 < k1]
         if not spans:
             raise DataFormatError("no interval contains a grid point")
         b = np.zeros_like(points)

@@ -14,7 +14,8 @@ threaded runs agree with serial ones.  The keys in use:
 Each stream is numpy's ``default_rng`` of its key.  :func:`make_rng` builds one
 such generator; :func:`substreams` derives the streams (seed, 0) ... (seed,
 count - 1) in one batched pass and yields generators bit-identical to
-``make_rng((*seed, i))``.
+``make_rng((*seed, i))``.  :func:`stream_states` and :func:`reseeded` are its
+two halves, for a caller that returns to some of the streams later.
 """
 
 from __future__ import annotations
@@ -110,14 +111,10 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((state ^ (state >> _SHIFT)).T)
 
 
-def substreams(seed, count: int):
-    """Yield the generators of the keys (*seed, 0) ... (*seed, count - 1).
-
-    Each is bit-identical to ``make_rng((*seed, i))``.  The SeedSequence
-    hashing of all ``count`` keys runs at once on uint32 arrays, and one
-    PCG64 generator is reseeded through its ``state`` setter for each key, so
-    a yielded generator is valid only until the next one is taken.
-    """
+def stream_states(seed, count: int) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` pairs of the keys (*seed, 0) ... (*seed,
+    count - 1), derived in one batched pass: the SeedSequence hashing of all
+    the keys runs at once on uint32 arrays."""
     key = as_key(seed)
     if not 0 <= count <= 1 << 32:
         raise ValueError(f"substream count must lie in [0, 2**32], got {count}")
@@ -126,14 +123,29 @@ def substreams(seed, count: int):
     entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
     entropy[-1] = np.arange(count)
     # PCG64 reads generate_state(4, uint64) as (initstate, initseq), high word first
-    seeds = _seed_words(entropy).astype("<u4").view("<u8").tolist()
-    bit_generator = np.random.PCG64(0)
-    rng = np.random.Generator(bit_generator)
-    for s_hi, s_lo, i_hi, i_lo in seeds:
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in _seed_words(entropy).astype("<u4").view("<u8").tolist():
         # pcg_setseq_128_srandom_r: two LCG steps from state 0
         inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append((((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def reseeded(states):
+    """Yield one generator, reseeded in turn to each PCG64 ``(state, inc)``
+    of ``states`` through its ``state`` setter, so a yielded generator is
+    valid only until the next one is taken."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    for state, inc in states:
         bit_generator.state = {"bit_generator": "PCG64",
                                "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
         yield rng
+
+
+def substreams(seed, count: int):
+    """Yield the generators of the keys (*seed, 0) ... (*seed, count - 1),
+    each bit-identical to ``make_rng((*seed, i))``; see :func:`stream_states`
+    and :func:`reseeded`."""
+    return reseeded(stream_states(seed, count))

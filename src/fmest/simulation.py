@@ -11,11 +11,13 @@ Three independent substreams (base draw / scale draw / contamination) keep
 the uncontaminated part of a contaminated draw bit-identical to the plain
 draw under the same seed.
 
-The study drivers draw each repetition's dataset on its own substream, on
-``config.threads`` pool threads.  The ISE study stacks consecutive
-repetitions and fits each batch in one solve per loss; the coverage and
-size studies run each repetition's bootstrap on its pool thread.  Either
-way a study's numbers do not depend on the thread count.
+The study drivers draw each repetition's data on its own substream.  The
+ISE study draws on the calling thread, straight into a stacked batch of
+consecutive repetitions, as arrays without a dataset, and fits each batch
+in one solve per loss; ``config.threads`` does not apply to it.  The
+coverage and size studies draw each repetition's dataset and run its
+bootstrap on one of ``config.threads`` pool threads.  Either way a study's
+numbers do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (Dataset, DataFormatError, Grid, _restrict_grid, integrate, matrix_dataset,
-                   restrict_dataset)
+from .data import Dataset, DataFormatError, Grid, _restrict_grid, integrate, matrix_dataset
 from .estimator import (NumericalError, STATUS_UNDEFINED, MEstimate, _Workspace,
                         interpolate_rows, solve_locations)
 from .inference import anova_l2_test, bootstrap_ensemble, parse_probe, trend_ci
@@ -38,11 +39,12 @@ from .seeding import as_key, make_rng
 
 CHOL_JITTER = 1e-10
 # run_ise_study fits its repetitions in batches of at most this many values
-# (repetitions x curves x grid points), one solve per loss and batch.  On a
-# 2-core x86_64 host, batches of 4 repetitions of 80 curves on 90 points made
-# an ISE study of 160 repetitions about 30% faster than single fits, for 2 MB
-# more peak memory; batches of 8 gained about 7% more for twice that memory.
-ISE_BATCH = 32_768
+# (repetitions x curves x grid points), one solve per loss and batch: 9
+# repetitions of 80 curves on 90 points.  On a 2-core x86_64 host, batches of
+# 4 made an ISE study of 160 repetitions about 30% faster than single fits,
+# for 2 MB more peak memory; batches of 9 took about 8% less time again (the
+# median of 9 pairs, noisy) for 1.8 MB more.
+ISE_BATCH = 65_536
 
 
 @dataclass(frozen=True)
@@ -296,16 +298,43 @@ class ScenarioConfig:
             parse_loss(loss)  # fail fast on typos
 
 
+def _analysis_grid(config: ScenarioConfig, grid: Grid) -> tuple[np.ndarray | None, Grid]:
+    """Which points of ``grid`` a study analyses, as a boolean index (None:
+    all of them), and the grid they make: [eps, 1-eps] when the scheme
+    carries a trim."""
+    eps = config.scheme.epsilon_trim
+    return _restrict_grid(grid, eps, 1.0 - eps) if eps > 0 else (None, grid)
+
+
+def _draw_arrays(config: ScenarioConfig, grid: Grid, keep: np.ndarray | None, key: tuple,
+                 shift: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``config.n`` curves on substream (*key, 0), moved by ``shift``, with
+    masks on (*key, 1), at the grid points ``keep`` selects (None: all).
+
+    Returns the (m, J') values and mask of the curves that observe one of
+    those points, in order, and which curves they are, as a boolean index.
+    Values at unobserved entries are left as drawn.
+    """
+    values = generate_curves(config.model, config.n, grid, (*key, 0))
+    mask = generate_masks(config.scheme, config.n, grid, (*key, 1))
+    if shift:
+        values += shift
+    if keep is None:
+        return values, mask, np.ones(config.n, dtype=bool)
+    mask = mask[:, keep]
+    rows = mask.any(axis=1)
+    if not rows.any():
+        raise DataFormatError("restriction removed every curve")
+    return values[:, keep][rows], mask[rows], rows
+
+
 def _draw_dataset(config: ScenarioConfig, grid: Grid, key: tuple,
                   shift: float = 0.0) -> Dataset:
-    """``config.n`` curves on substream (*key, 0), moved by ``shift``, with
-    masks on (*key, 1); restricted to [eps, 1-eps] when the scheme carries
-    a trim."""
-    values = generate_curves(config.model, config.n, grid, (*key, 0))
-    masks = generate_masks(config.scheme, config.n, grid, (*key, 1))
-    dataset = matrix_dataset(grid, values + shift if shift else values, masks)
-    eps = config.scheme.epsilon_trim
-    return restrict_dataset(dataset, eps, 1.0 - eps) if eps > 0 else dataset
+    """The curves of :func:`_draw_arrays` as a dataset on the analysis grid,
+    each with the id of its index among all ``config.n`` curves."""
+    keep, sub = _analysis_grid(config, grid)
+    values, mask, rows = _draw_arrays(config, grid, keep, key, shift)
+    return matrix_dataset(sub, values, mask, ids=np.flatnonzero(rows))
 
 
 def _run_reps(worker, repetitions: int, threads: int) -> list:
@@ -325,42 +354,38 @@ def run_ise_study(config: ScenarioConfig) -> list[dict]:
     carries a trim.
 
     Consecutive repetitions, at most ISE_BATCH values of them, are drawn on
-    ``config.threads`` pool threads and copied into one stacked (k, n, J)
-    value and mask buffer, allocated once per study with the solver's
-    workspace; curves the trim drops become unobserved rows.  Each loss
-    fits a batch in one :func:`solve_locations` call on this thread.  A fit
-    reads only its own repetition's rows, so every ISE equals that of
-    fitting the repetition alone, bit for bit, at any thread count.
+    this thread straight into one stacked (k, n, J) value and mask buffer,
+    allocated once per study with the solver's workspace; curves the trim
+    drops leave unobserved rows at the end.  Each loss fits a batch in one
+    :func:`solve_locations` call.  A fit reads only its own repetition's
+    rows, so every ISE equals that of fitting the repetition alone, bit for
+    bit.  ``config.threads`` does not apply: the draws hold the interpreter
+    lock, so pool threads only slowed them down.
     """
     grid = Grid.uniform(config.grid_size)
     losses = [(text, parse_loss(text)) for text in config.losses]
     key = as_key(config.seed)
     R, n = config.repetitions, config.n
-    eps = config.scheme.epsilon_trim
-    points = _restrict_grid(grid, eps, 1.0 - eps)[1].points if eps > 0 else grid.points
+    keep, sub = _analysis_grid(config, grid)
+    points = sub.points
     k = max(1, min(R, ISE_BATCH // (n * points.size)))
     shape = (k, n, points.size)
     v_buf, m_buf, w_buf = np.empty(shape), np.empty(shape, dtype=bool), _Workspace.empty(shape)
     theta = {text: np.empty((R, points.size)) for text, _ in losses}
-
-    def draw(r: int) -> Dataset:
-        return _draw_dataset(config, grid, (*key, r))
-
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:  # the draws only
-        for start in range(0, R, k):
-            stop = min(start + k, R)
-            datasets = list(pool.map(draw, range(start, stop)))
-            v, m, work = v_buf[:stop - start], m_buf[:stop - start], w_buf[:stop - start]
-            for i, dataset in enumerate(datasets):
-                v[i, :dataset.n] = dataset.values
-                m[i, :dataset.n] = dataset.mask
-                m[i, dataset.n:] = False
-            for text, choice in losses:
-                try:
-                    theta[text][start:stop] = solve_locations(v, m, choice, work=work)
-                except NumericalError as exc:
-                    raise NumericalError(f"repetition {start + exc.fit[0]}, loss {text}: "
-                                         f"{exc}") from exc
+    for start in range(0, R, k):
+        stop = min(start + k, R)
+        v, m, work = v_buf[:stop - start], m_buf[:stop - start], w_buf[:stop - start]
+        for i in range(stop - start):
+            values, mask, _ = _draw_arrays(config, grid, keep, (*key, start + i))
+            v[i, :len(values)] = values
+            m[i, :len(mask)] = mask
+            m[i, len(mask):] = False
+        for text, choice in losses:
+            try:
+                theta[text][start:stop] = solve_locations(v, m, choice, work=work)
+            except NumericalError as exc:
+                raise NumericalError(f"repetition {start + exc.fit[0]}, loss {text}: "
+                                     f"{exc}") from exc
     mu = model_mean(config.model, points)
     name = config.model_name or config.model.mean_kind
     rows = []

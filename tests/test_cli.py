@@ -13,7 +13,8 @@ import pytest
 import fmest
 from conftest import random_partial_dataset
 from fmest.cli import main
-from fmest.data import Dataset, PartialCurve, save_csv
+from fmest.data import Dataset, Grid, PartialCurve, save_csv
+from fmest.sampling import generate_masks, parse_scheme
 
 
 @pytest.fixture
@@ -199,6 +200,20 @@ def test_masks_diagnostics(tmp_path, capsys):
     assert "W_n" in capsys.readouterr().out
     manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
     assert manifest["config"]["w_n"] > 0
+
+
+@pytest.mark.parametrize("scheme", ["snippet:0.1", "complete"])
+def test_masks_manifest_counts_redraws(tmp_path, scheme):
+    """The manifest's ``redraws`` is the count generate_masks reports; on 6
+    grid points most snippets of width 0.1 miss every point."""
+    out = tmp_path / "b.csv"
+    assert main(["masks", "--scheme", scheme, "--n", "40", "--grid-size", "6",
+                 "--seed", "8", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+    _, redraws = generate_masks(parse_scheme(scheme), 40, Grid.uniform(6), 8,
+                                return_redraws=True)
+    assert manifest["config"]["redraws"] == redraws
+    assert (redraws > 0) == (scheme != "complete")
 
 
 def test_version_exits_zero(capsys):

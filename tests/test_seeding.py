@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fmest.seeding import make_rng, substreams
+from fmest.seeding import make_rng, reseeded, stream_states, substreams
 
 # one-, two- and three-word components: SeedSequence splits ints into uint32 words
 COMPONENTS = (0, 2**32 - 1, 2**32, 2**64 + 5)
@@ -39,6 +39,19 @@ def test_substreams_count(count):
         n += 1
     assert n == count
     assert len(list(substreams(3, count))) == count
+
+
+def test_reseeded_returns_to_any_stream():
+    """A state kept from the batched pass reseeds its stream from the start,
+    in any order, as generate_masks does for the curves that redraw."""
+    key = (4, 2**40)
+    states = stream_states(key, 50)
+    picks = [41, 3, 3, 0]
+    count = 0
+    for i, rng in zip(picks, reseeded([states[i] for i in picks])):
+        _assert_same_stream(rng, (*key, i))
+        count += 1
+    assert count == len(picks)
 
 
 def test_substreams_rejects_bad_keys():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fmest import estimator, simulation
-from fmest.data import DataFormatError, Grid, integrate, matrix_dataset
+from fmest.data import DataFormatError, Grid, integrate, matrix_dataset, restrict_dataset
 from fmest.estimator import NumericalError, fit, fit_marginal
 from fmest.inference import anova_l2_test, quadratic_probe
 from fmest.losses import huber, parse_loss
@@ -218,9 +218,9 @@ ALL_LOSSES = ("square", "huber:0.8", "huber-scaled:3", "quantile:0.5", "quantile
                                          ("random-interval:0.3,0.3", 0.05)])
 def test_run_ise_study_equals_repetition_loop(scheme, trim, monkeypatch):
     """Every ISE of the batched study equals, bit for bit, that of fitting
-    its repetition alone, at 1 and 3 threads; 37 repetitions fill batches
-    of 18 or 12 and a last one of 1, and under the snippet scheme the trim
-    drops curves, so batches carry unobserved padding rows."""
+    its repetition alone, at 1 and 3 threads; 37 repetitions fill a batch
+    of 36 or 24 and a last one of 1 or 13, and under the snippet scheme the
+    trim drops curves, so batches carry unobserved padding rows."""
     cfg = dict(model=model_preset("model3"), scheme=parse_scheme(scheme, trim), n=30,
                grid_size=100, losses=ALL_LOSSES, repetitions=37, seed=9, model_name="m3")
     grid = Grid.uniform(100)
@@ -248,25 +248,71 @@ def test_run_ise_study_equals_repetition_loop(scheme, trim, monkeypatch):
         assert seen == [x for text in ALL_LOSSES for x in loop[text]]
 
 
+@pytest.mark.parametrize("scheme,trim,shift", [("random-interval:0.3,0.3", 0.0, 0.0),
+                                               ("random-interval:0.3,0.3", 0.05, 2.5),
+                                               ("snippet:0.06", 0.2, 0.0)])
+def test_draw_dataset_equals_restricted_matrix_dataset(scheme, trim, shift):
+    """The coverage and size studies' dataset is the one that building the
+    full draw and restricting it to the trim window gives: same values, NaN
+    at the same places, mask, ids, groups and grid."""
+    cfg = ScenarioConfig(model=model_preset("model3"), scheme=parse_scheme(scheme, trim), n=30,
+                         grid_size=100)
+    grid = Grid.uniform(100)
+    for r in range(4):
+        got = _draw_dataset(cfg, grid, (5, r), shift=shift)
+        values = generate_curves(cfg.model, 30, grid, (5, r, 0))
+        full = matrix_dataset(grid, values + shift if shift else values,
+                              generate_masks(cfg.scheme, 30, grid, (5, r, 1)))
+        want = restrict_dataset(full, trim, 1.0 - trim) if trim else full
+        np.testing.assert_array_equal(got.values, want.values)  # NaN matches NaN
+        np.testing.assert_array_equal(got.mask, want.mask)
+        assert got.ids == want.ids and got.groups == want.groups
+        np.testing.assert_array_equal(got.grid.points, want.grid.points)
+        np.testing.assert_array_equal(got.grid.weights, want.grid.weights)
+        assert (got.grid.offset, got.grid.scale) == (want.grid.offset, want.grid.scale)
+    if scheme.startswith("snippet"):
+        assert got.n < 30  # the trim dropped curves
+
+
 def test_run_ise_study_solves_stacked_batches_on_the_main_thread(monkeypatch):
-    """One solve per loss and batch of k repetitions, on (k, n, J') stacked
-    values, from the main thread even when the draws run on pool threads."""
-    calls = []
+    """One solve per loss and batch of k = ISE_BATCH // (n J') repetitions,
+    on (k, n, J') stacked values, where J' counts the grid points the trim
+    keeps; the solves and every curve and mask draw run on the calling
+    thread, at threads 1 and 3 alike."""
+    caller = threading.current_thread()
+    calls, draws = [], []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            draws.append((name, threading.current_thread() is caller))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(simulation, name, wrapped)
+
     solve = simulation.solve_locations
 
-    def spy(values, mask, loss, **kwargs):
-        calls.append((values.shape, threading.current_thread() is threading.main_thread()))
+    def spy_solve(values, mask, loss, **kwargs):
+        calls.append((values.shape, threading.current_thread() is caller))
         return solve(values, mask, loss, **kwargs)
 
-    monkeypatch.setattr(simulation, "solve_locations", spy)
-    run_ise_study(ScenarioConfig(model=model_preset("model1"),
-                                 scheme=parse_scheme("snippet:0.06", 0.2), n=30, grid_size=100,
-                                 losses=("square", "huber:0.8", "quantile:0.5"),
-                                 repetitions=37, seed=3, threads=2))
-    k = simulation.ISE_BATCH // (30 * 60)  # 60 grid points in [0.2, 0.8]
-    assert len(calls) == 3 * math.ceil(37 / k)
-    assert [shape for shape, _ in calls] == [(k, 30, 60)] * 6 + [(37 - 2 * k, 30, 60)] * 3
-    assert all(main for _, main in calls)
+    monkeypatch.setattr(simulation, "solve_locations", spy_solve)
+    spy("generate_curves", simulation.generate_curves)
+    spy("generate_masks", simulation.generate_masks)
+    points = Grid.uniform(100).points
+    J = int(np.count_nonzero((points >= 0.2) & (points <= 0.8)))
+    k = simulation.ISE_BATCH // (30 * J)
+    R = k + 1  # one full batch and one of a single repetition
+    for threads in (1, 3):
+        calls.clear()
+        draws.clear()
+        run_ise_study(ScenarioConfig(model=model_preset("model1"),
+                                     scheme=parse_scheme("snippet:0.06", 0.2), n=30,
+                                     grid_size=100, losses=("square", "huber:0.8", "quantile:0.5"),
+                                     repetitions=R, seed=3, threads=threads))
+        assert len(calls) == 3 * math.ceil(R / k)
+        assert [shape for shape, _ in calls] == [(k, 30, J)] * 3 + [(1, 30, J)] * 3
+        assert all(here for _, here in calls)
+        assert sorted(name for name, _ in draws) == ["generate_curves"] * R + ["generate_masks"] * R
+        assert all(here for _, here in draws)
 
 
 def test_run_ise_study_error_names_repetition_and_loss(monkeypatch):
