@@ -77,13 +77,19 @@ def _quantile_locations(values: np.ndarray, mask: np.ndarray, tau: float,
     midpoint averaging when tau * n_eff splits the mass exactly).
 
     ``scratch``, an array of ``values``' shape that is neither ``values`` nor
-    ``mask``, receives the sorted columns; by default a new one is allocated.
+    ``mask``, receives the sorted columns: each column's observed values in
+    ascending order, then +inf.  By default a new one is allocated.
     """
     srt = np.empty(np.shape(values)) if scratch is None else scratch
     srt.fill(np.inf)
     np.copyto(srt, values, where=mask)
     srt.sort(axis=-2)
-    m = mask.sum(axis=-2)
+    return _sorted_quantile(srt, mask.sum(axis=-2), tau)
+
+
+def _sorted_quantile(srt: np.ndarray, m: np.ndarray, tau: float) -> np.ndarray:
+    """The tau-quantile of :func:`_quantile_locations` from columns ``srt``
+    whose first ``m`` entries are their sorted observed values."""
     km = tau * m
     k_round = np.rint(km)
     exact = (np.abs(km - k_round) <= 1e-9) & (k_round >= 1) & (k_round <= m - 1)
@@ -98,27 +104,30 @@ def _quantile_locations(values: np.ndarray, mask: np.ndarray, tau: float,
 
 @dataclass(frozen=True)
 class _Workspace:
-    """Scratch arrays of one (..., n, J) shape for the MAD and root solves.
+    """Scratch arrays of one (..., n, J) shape for the MAD and root solves,
+    18 bytes per value.
 
-    ``v0`` and ``maskf`` hold the solve's zero-filled values and float mask,
-    ``r`` and ``p`` its residual and clip buffers, ``hit`` its slope
-    indicator.  Before the root solve starts, ``solve_locations`` computes a
-    :class:`ScaledHuber`'s MAD cutoffs in ``r`` (the sorts) and ``p``
-    (|x - med|).  A batched loop allocates one workspace and passes
-    ``work[:k]`` views of it, so that the large temporaries are not freed and
-    faulted in again on every batch.  Fits that run concurrently need
-    workspaces of their own, or disjoint slices of one.
+    ``v0`` holds the solve's zero-filled values, ``r`` its residuals, which
+    the score clips in place, and ``hit`` and ``hit2`` its slope indicator.
+    Before the root solve starts, ``solve_locations`` computes a
+    :class:`ScaledHuber`'s MAD cutoffs in ``r`` (both sorts) and ``hit``.
+    A caller may gather its values straight into ``v0``, zero at unobserved
+    entries, and pass ``v0`` itself as the values: the solve then copies
+    nothing.  A batched loop allocates one workspace and passes ``work[:k]``
+    views of it, so that the large temporaries are not freed and faulted in
+    again on every batch.  Fits that run concurrently need workspaces of
+    their own, or disjoint slices of one.
     """
 
     v0: np.ndarray
-    maskf: np.ndarray
     r: np.ndarray
-    p: np.ndarray
     hit: np.ndarray
+    hit2: np.ndarray
 
     @classmethod
     def empty(cls, shape) -> "_Workspace":
-        return cls(*(np.empty(shape) for _ in range(4)), np.empty(shape, dtype=bool))
+        return cls(np.empty(shape), np.empty(shape),
+                   np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
 
     def __getitem__(self, part: slice) -> "_Workspace":
         """Views of the entries ``part`` along the leading axis."""
@@ -162,16 +171,16 @@ class _RootProblem:
     """Workspace buffers and fused scoring for the bracketed root solve.
 
     For both kinked losses the score is a clip of an affine function z of the
-    residual, so the Newton slope indicator comes for free as (psi == z).
+    residual to [lo, hi], so the Newton slope indicator comes for free as
+    lo <= z <= hi, taken before z is clipped in place.
     """
 
     def __init__(self, values, mask, loss: LossSpec, c, work: _Workspace):
         self.loss = loss
         self.v0 = work.v0
-        self.v0.fill(0.0)
-        np.copyto(self.v0, values, where=mask)
-        self.maskf = work.maskf
-        np.copyto(self.maskf, mask)
+        if not _same_array(values, self.v0):
+            self.v0.fill(0.0)
+            np.copyto(self.v0, values, where=mask)
         self.mask = mask
         self.kind = loss.kind
         if np.ndim(c) == 0:
@@ -180,11 +189,12 @@ class _RootProblem:
             c = np.asarray(c, dtype=float)
             self.cb = c[..., None, :] if c.ndim > 1 else c
         if self.kind == "squantile":
-            self.tau, self.h = loss.tau, loss.h
+            self.tau, self.inv = loss.tau, 1.0 / (2.0 * loss.h)
+            self.lo, self.hi = self.tau - 1.0, self.tau
+        else:
+            self.lo, self.hi = -self.cb, self.cb
         self._r = work.r
-        self._z = self._r  # alias: z overwrites the residual buffer
-        self._p = work.p
-        self._hit = work.hit
+        self._hit, self._hit2 = work.hit, work.hit2
 
     def restrict(self, cols) -> "_RootProblem":
         """The problem over the flat columns ``cols`` of the fitted (..., J)
@@ -198,44 +208,46 @@ class _RootProblem:
 
         # Two layout rules keep einsum's summation order over the curves, and
         # so every bit.  The scored arrays are row-major with the curve axis
-        # first: the new workspace is, while the gathers below are
-        # column-major, and einsum sums a contiguous curve axis in another
-        # order.  And they are never one column wide: an (n, 1) array sums
-        # in yet another order.
+        # first: the new workspace is, and so is the mask's copy, while the
+        # gathers below are column-major, and einsum sums a contiguous curve
+        # axis in another order.  And they are never one column wide: an
+        # (n, 1) array sums in yet another order.
         def gather(a):
             return a.reshape(-1, n, J)[lead, :, j].T
 
         c = self.cb
         if np.ndim(c):
             c = np.broadcast_to(c, self.v0.shape)[..., 0, :].reshape(-1)[cols]
-        sub = _RootProblem(gather(self.v0), gather(self.mask), self.loss, c,
-                           _Workspace.empty((n, cols.size)))
+        sub = _RootProblem(gather(self.v0), np.ascontiguousarray(gather(self.mask)),
+                           self.loss, c, _Workspace.empty((n, cols.size)))
         sub.cols = cols
         return sub
 
-    def _slope_count(self, z):
-        """Observed entries where psi is on its linear piece, (..., J) floats
-        (exact integer counts)."""
-        np.equal(self._p, z, out=self._hit)
-        np.logical_and(self._hit, self.mask, out=self._hit)
-        return self._hit.sum(axis=-2, dtype=float)
-
     def score(self, theta):
         """(psi-sum, slope) where slope = -d(psi-sum)/d theta >= 0."""
-        np.subtract(self.v0, theta[..., None, :], out=self._r)
+        z = np.subtract(self.v0, theta[..., None, :], out=self._r)
+        if self.kind == "squantile":
+            np.multiply(z, self.inv, out=z)
+            z += self.tau - 0.5
+        # observed entries on psi's linear piece, counted before the clip
+        hit = np.greater_equal(z, self.lo, out=self._hit)
+        hit &= np.less_equal(z, self.hi, out=self._hit2)
+        hit &= self.mask
+        s = hit.sum(axis=-2, dtype=float)
         if self.kind == "huber":
-            np.minimum(self._r, self.cb, out=self._p)
-            np.maximum(self._p, -self.cb, out=self._p)
-            g = np.einsum("...nj,...nj->...j", self._p, self.maskf)
-            s = self._slope_count(self._r)
+            np.minimum(z, self.hi, out=z)
+            np.maximum(z, self.lo, out=z)
         else:
-            inv = 1.0 / (2.0 * self.h)
-            np.multiply(self._r, inv, out=self._z)
-            self._z += self.tau - 0.5
-            np.clip(self._z, self.tau - 1.0, self.tau, out=self._p)
-            g = np.einsum("...nj,...nj->...j", self._p, self.maskf)
-            s = self._slope_count(self._z) * inv
+            np.clip(z, self.lo, self.hi, out=z)
+            s *= self.inv
+        g = np.einsum("...nj,...nj->...j", z, self.mask)
         return g, s
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` view the same memory in the same layout."""
+    return (a.shape == b.shape and a.strides == b.strides
+            and a.__array_interface__["data"][0] == b.__array_interface__["data"][0])
 
 
 def _flat_fixup(theta, values, mask, flat, c):
@@ -285,7 +297,8 @@ def solve_locations(values, mask, loss: LossSpec | ScaledHuber,
     bracket); it does not change what is being solved.  ``work``, a
     workspace of ``values``' shape, holds the solve's scratch arrays (by
     default they are allocated per call); it changes no result bit.
-    ``values`` and ``mask`` are never written.
+    ``values`` may be ``work.v0`` itself, zero at every unobserved entry,
+    and then is not copied.  ``values`` and ``mask`` are never written.
 
     Called on the main thread, stacked (k, ..., n, J) fits with huber or
     smoothed-quantile losses are solved in contiguous parts, one thread each
@@ -504,11 +517,19 @@ def mad_cutoffs(values: np.ndarray, mask: np.ndarray, r: float, *,
 
 
 def _mad(values, mask, work: _Workspace) -> np.ndarray:
-    """Raw MAD along the curve axis, sorted in ``work.r`` and ``work.p``."""
+    """Raw MAD along the curve axis.  The median sorts each column into
+    ``work.r``; |x - med| then overwrites those sorted values, +inf fills
+    the entries past each column's observed count, and a second in-place
+    sort gives the deviations' median."""
     med = _quantile_locations(values, mask, 0.5, scratch=work.r)
-    dev = np.subtract(values, med[..., None, :], out=work.p)
+    dev = np.subtract(work.r, med[..., None, :], out=work.r)
     np.abs(dev, out=dev)
-    return _quantile_locations(dev, mask, 0.5, scratch=work.r)
+    m = mask.sum(axis=-2)
+    unobserved = np.greater_equal(np.arange(values.shape[-2])[:, None], m[..., None, :],
+                                  out=work.hit)
+    np.copyto(dev, np.inf, where=unobserved)
+    dev.sort(axis=-2)
+    return _sorted_quantile(dev, m, 0.5)
 
 
 def influence_function(dataset: Dataset, loss: LossSpec | ScaledHuber, theta_hat: np.ndarray,

@@ -116,12 +116,14 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     substream (seed, b)).  ``loss`` goes unchanged to every solve, so a
     scaled-huber loss recomputes its MAD cutoffs on every resample.
 
-    Every batch is gathered into, and solved in, one set of buffers allocated
-    per call; the last, shorter batch uses leading views of them.  Each
-    batch's gather, MAD cutoffs and root solve split across the usable CPUs
-    when the batch is large enough (see :func:`solve_locations`); the result
-    is the same, bit for bit, at any thread count.  A root solve that fails
-    is re-raised naming the replicate."""
+    Every batch is gathered into, and solved in, one workspace allocated per
+    call; the last, shorter batch uses leading views of it.  The values are
+    gathered from a zero-filled copy straight into the workspace's ``v0``,
+    which the solve then reads in place.  Each batch's gather, MAD cutoffs
+    and root solve split across the usable CPUs when the batch is large
+    enough (see :func:`solve_locations`); the result is the same, bit for
+    bit, at any thread count.  A root solve that fails is re-raised naming
+    the replicate."""
     if B < MIN_BOOTSTRAP:
         raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
     values = dataset.values
@@ -136,24 +138,24 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     # replicate roots cluster around the full-sample fit, so start there
     # (square and quantile losses have closed forms and ignore the start)
     warm = solve_locations(values, mask, loss)
+    filled = np.where(mask, values, 0.0)
     shape = (min(BOOTSTRAP_BATCH, B), n, J)
-    v_buf = np.empty(shape)
     m_buf = np.empty(shape, dtype=bool)
     w_buf = _Workspace.empty(shape)
     for start in range(0, B, BOOTSTRAP_BATCH):
         stop = min(start + BOOTSTRAP_BATCH, B)
         k = stop - start
-        v, m, work = v_buf[:k], m_buf[:k], w_buf[:k]
+        m, work = m_buf[:k], w_buf[:k]
         # mode="clip" (the indices are in range) lets take write straight
-        # into v and m; the default mode="raise" gathers into a temporary.
+        # into v0 and m; the default mode="raise" gathers into a temporary.
         # The gather splits across threads as the solve does.
-        def gather(fits, rows=idx[start:stop], v=v, m=m):
-            np.take(values, rows[fits], axis=0, out=v[fits], mode="clip")
+        def gather(fits, rows=idx[start:stop], v=work.v0, m=m):
+            np.take(filled, rows[fits], axis=0, out=v[fits], mode="clip")
             np.take(mask, rows[fits], axis=0, out=m[fits], mode="clip")
 
-        _on_threads(gather, _fit_parts(v))
+        _on_threads(gather, _fit_parts(work.v0))
         try:
-            out[start:stop] = solve_locations(v, m, loss, theta0=warm, work=work)
+            out[start:stop] = solve_locations(work.v0, m, loss, theta0=warm, work=work)
         except NumericalError as exc:
             if exc.fit is None:  # not a stacked root solve's error
                 raise

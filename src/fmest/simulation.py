@@ -354,9 +354,10 @@ def run_ise_study(config: ScenarioConfig) -> list[dict]:
     carries a trim.
 
     Consecutive repetitions, at most ISE_BATCH values of them, are drawn on
-    this thread straight into one stacked (k, n, J) value and mask buffer,
-    allocated once per study with the solver's workspace; curves the trim
-    drops leave unobserved rows at the end.  Each loss fits a batch in one
+    this thread straight into one stacked (k, n, J) mask buffer and the
+    values buffer ``v0`` of the solver's workspace, both allocated once per
+    study, with zeros at unobserved entries; curves the trim drops leave
+    unobserved rows at the end.  Each loss fits a batch in one
     :func:`solve_locations` call.  A fit reads only its own repetition's
     rows, so every ISE equals that of fitting the repetition alone, bit for
     bit.  ``config.threads`` does not apply: the draws hold the interpreter
@@ -370,14 +371,16 @@ def run_ise_study(config: ScenarioConfig) -> list[dict]:
     points = sub.points
     k = max(1, min(R, ISE_BATCH // (n * points.size)))
     shape = (k, n, points.size)
-    v_buf, m_buf, w_buf = np.empty(shape), np.empty(shape, dtype=bool), _Workspace.empty(shape)
+    m_buf, w_buf = np.empty(shape, dtype=bool), _Workspace.empty(shape)
     theta = {text: np.empty((R, points.size)) for text, _ in losses}
     for start in range(0, R, k):
         stop = min(start + k, R)
-        v, m, work = v_buf[:stop - start], m_buf[:stop - start], w_buf[:stop - start]
+        m, work = m_buf[:stop - start], w_buf[:stop - start]
+        v = work.v0
         for i in range(stop - start):
             values, mask, _ = _draw_arrays(config, grid, keep, (*key, start + i))
-            v[i, :len(values)] = values
+            v[i] = 0.0
+            np.copyto(v[i, :len(values)], values, where=mask)
             m[i, :len(mask)] = mask
             m[i, len(mask):] = False
         for text, choice in losses:

@@ -98,7 +98,7 @@ def test_flat_interval_midpoint():
 
 
 @pytest.mark.xfail(strict=True, reason="a root on the edge of a flat huber interval skips "
-                                       "the midpoint fix-up (ROADMAP item 3)")
+                                       "the midpoint fix-up (ROADMAP item 2)")
 @pytest.mark.parametrize("x, theta0, midpoint", [
     # cold start: the psi-sum is 0 on [2.1, 2.5] and the iteration stops at 2.5
     ([0.1, 3.5, 1.1, 5.9], None, 2.3),
@@ -343,6 +343,89 @@ def test_restricted_scores_equal_full_width(rng, loss):
         g_sub, s_sub = sub.score(theta[sub.cols])
         np.testing.assert_array_equal(g_sub[:cols.size], g[cols])
         np.testing.assert_array_equal(s_sub[:cols.size], s[cols])
+
+
+def _clip_and_compare_score(values, mask, loss, c, theta):
+    """Reference score: psi = clip(z) in a buffer of its own, the slope
+    indicator psi == z, and the psi-sum against a float mask."""
+    maskf = mask.astype(float)
+    z = np.where(mask, values, 0.0) - theta[..., None, :]
+    if loss.kind == "huber":
+        cb = c[..., None, :] if np.ndim(c) > 1 else c
+        p = np.maximum(np.minimum(z, cb), -cb)
+        inv = 1.0
+    else:
+        inv = 1.0 / (2.0 * loss.h)
+        z = z * inv + (loss.tau - 0.5)
+        p = np.clip(z, loss.tau - 1.0, loss.tau)
+    g = np.einsum("...nj,...nj->...j", p, maskf)
+    s = ((p == z) & mask).sum(axis=-2, dtype=float) * inv
+    return g, s, z
+
+
+@pytest.mark.parametrize("loss", [
+    huber(0.5), huber(np.tile([0.25, 0.5, 0.75], 40).reshape(4, 30)),
+    smoothed_quantile(0.25, 0.25)], ids=["huber", "huber-per-fit", "squantile"])
+def test_score_equals_clip_and_compare_reference(rng, loss):
+    """The in-place clip with its slope indicator taken before the clip
+    scores bit for bit as clip-and-compare does, with residuals exactly on
+    the breakpoints, also in a restricted problem."""
+    B, n, J = 4, 50, 30
+    values = rng.integers(-8, 9, size=(B, n, J)) * 0.25  # residuals on a 0.25 lattice
+    mask = rng.random((B, n, J)) < 0.8
+    values[~mask] = np.nan
+    theta = rng.integers(-4, 5, size=(B, J)) * 0.25
+    c = loss.h if loss.kind == "squantile" else loss.c
+    g_ref, s_ref, z = _clip_and_compare_score(values, mask, loss, c, theta)
+    if loss.kind == "squantile":
+        lo, hi = loss.tau - 1.0, loss.tau
+    else:
+        hi = np.broadcast_to(c, (B, J))[:, None, :]
+        lo = -hi
+    assert (mask & (z == lo)).any() and (mask & (z == hi)).any()  # the kinks are hit exactly
+    problem = _RootProblem(values, mask, loss, c, _Workspace.empty(values.shape))
+    g, s = problem.score(theta)
+    np.testing.assert_array_equal(g, g_ref)
+    np.testing.assert_array_equal(s, s_ref)
+    cols = rng.choice(B * J, 40, replace=False)
+    sub = problem.restrict(cols)
+    assert sub.mask.flags.c_contiguous
+    g_sub, s_sub = sub.score(theta.reshape(-1)[sub.cols])
+    np.testing.assert_array_equal(g_sub, g_ref.reshape(-1)[cols])
+    np.testing.assert_array_equal(s_sub, s_ref.reshape(-1)[cols])
+
+
+def test_workspace_holds_18_bytes_per_value():
+    """The solver's scratch is v0 and r (float) and two boolean indicators."""
+    shape = (3, 5, 7)
+    work = _Workspace.empty(shape)
+    assert sum(a.nbytes for a in vars(work).values()) == 18 * np.prod(shape)
+    assert sum(a.nbytes for a in vars(work[:2]).values()) == 18 * 2 * 5 * 7
+
+
+def test_solve_in_workspace_values_equals_copying_path(rng, monkeypatch, restrict_widths):
+    """Values gathered zero-filled into ``work.v0`` and passed as that very
+    buffer solve bit for bit as a copy of them does, split into parts, and
+    neither the buffer nor the mask is written."""
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(estimator, "PART_MIN", 1000)
+    B, n, J = 6, 40, 30
+    values = rng.standard_t(2, size=(B, n, J))
+    mask = rng.random((B, n, J)) < 0.7
+    mask[..., 4] = False
+    values[~mask] = np.nan
+    assert len(estimator._fit_parts(values)) == 3
+    work = _Workspace.empty(values.shape)
+    theta0 = rng.normal(scale=0.5, size=J)
+    for loss in (huber(0.8), huber(rng.uniform(0.1, 2.0, size=(B, J))), ScaledHuber(2.0),
+                 smoothed_quantile(0.3, 0.1), quantile(0.5), square()):
+        np.copyto(work.v0, np.where(mask, values, 0.0))
+        before = work.v0.copy(), mask.copy()
+        got = solve_locations(work.v0, mask, loss, theta0, work=work)
+        np.testing.assert_array_equal(got, solve_locations(values, mask, loss, theta0))
+        assert work.v0.tobytes() == before[0].tobytes()
+        np.testing.assert_array_equal(mask, before[1])
+    assert restrict_widths  # the restricted problem was scored
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
