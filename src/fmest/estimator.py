@@ -233,7 +233,10 @@ class _RootProblem:
         hit = np.greater_equal(z, self.lo, out=self._hit)
         hit &= np.less_equal(z, self.hi, out=self._hit2)
         hit &= self.mask
-        s = hit.sum(axis=-2, dtype=float)
+        # counted in unsigned integers, then cast: the same exact counts as a
+        # float sum, without its casting reduction
+        count = np.uint16 if hit.shape[-2] < 2 ** 16 else np.uint64
+        s = np.add.reduce(hit.view(np.uint8), axis=-2, dtype=count).astype(float)
         if self.kind == "huber":
             np.minimum(z, self.hi, out=z)
             np.maximum(z, self.lo, out=z)

@@ -251,8 +251,13 @@ def test_import_loads_no_scipy(module):
     assert _scipy_loaded(module) == set()
 
 
-def test_estimate_trend_simulate_load_no_scipy(tmp_path, curves_csv):
+def test_estimate_trend_fanova_simulate_load_no_scipy(tmp_path, curves_csv, rng):
     data, _ = curves_csv
+    a = random_partial_dataset(rng, n=10, J=12, group="a")
+    b = random_partial_dataset(rng, n=10, J=12, group="b")
+    groups = tmp_path / "groups.csv"
+    save_csv(Dataset(a.grid, a.curves + tuple(
+        PartialCurve(c.id + "b", "b", c.values, c.mask) for c in b.curves)), groups)
     cfg = tmp_path / "s.cfg"
     cfg.write_text("study = ise\nmodel = model1\nscheme = random-interval:0.3,0.3\n"
                    "n = 10\ngrid_size = 15\nlosses = huber:0.8\nR = 2\nseed = 3\n",
@@ -261,26 +266,18 @@ def test_estimate_trend_simulate_load_no_scipy(tmp_path, curves_csv):
                   "--out", str(tmp_path / "fit.csv")],
                  ["trend", "--data", str(data), "--probe", "linear", "--B", "100",
                   "--seed", "1", "--out", str(tmp_path / "ci.json")],
+                 ["fanova", "--data", str(groups), "--B", "100", "--seed", "1",
+                  "--out", str(tmp_path / "r.json")],
                  ["simulate", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]):
         assert _scipy_loaded("fmest.cli", argv) == set(), argv[0]
 
 
-def test_masks_and_fanova_load_scipy_on_first_use(tmp_path, rng):
-    a = random_partial_dataset(rng, n=10, J=12, group="a")
-    b = random_partial_dataset(rng, n=10, J=12, group="b")
-    groups = tmp_path / "groups.csv"
-    save_csv(Dataset(a.grid, a.curves + tuple(
-        PartialCurve(c.id + "b", "b", c.values, c.mask) for c in b.curves)), groups)
+def test_masks_loads_scipy_special_on_first_use(tmp_path):
     masks = _scipy_loaded("fmest.cli", [
         "masks", "--scheme", "random-interval:0.3,0.3", "--n", "50", "--grid-size", "20",
         "--seed", "4", "--out", str(tmp_path / "b.csv")])
     assert "scipy.special" in masks
     assert not {"scipy.integrate", "scipy.stats"} & masks
-    fanova = _scipy_loaded("fmest.cli", [
-        "fanova", "--data", str(groups), "--B", "100", "--seed", "1",
-        "--out", str(tmp_path / "r.json")])
-    assert "scipy.integrate" in fanova
-    assert "scipy.stats" not in fanova
 
 
 # -- results do not depend on the BLAS thread count -------------------------------

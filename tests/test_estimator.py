@@ -395,6 +395,19 @@ def test_score_equals_clip_and_compare_reference(rng, loss):
     np.testing.assert_array_equal(s_sub, s_ref.reshape(-1)[cols])
 
 
+@pytest.mark.parametrize("shape", [(2, 300, 5), (70_000, 1)], ids=["n300", "n70000"])
+def test_score_slope_counts_past_small_integer_widths(rng, shape):
+    """The slope is the float count of observed residuals on psi's linear
+    piece, also where it exceeds 255 (uint8) and 65,535 (uint16)."""
+    values = rng.uniform(-1.0, 1.0, size=shape)
+    mask = rng.random(shape) < 0.97
+    problem = _RootProblem(values, mask, huber(1.0), 1.0, _Workspace.empty(shape))
+    _, s = problem.score(np.zeros(shape[:-2] + shape[-1:]))
+    assert s.dtype == float
+    np.testing.assert_array_equal(s, mask.sum(axis=-2, dtype=float))
+    assert s.max() > (255 if shape[-2] == 300 else 65_535)
+
+
 def test_workspace_holds_18_bytes_per_value():
     """The solver's scratch is v0 and r (float) and two boolean indicators."""
     shape = (3, 5, 7)

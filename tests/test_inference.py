@@ -283,7 +283,7 @@ def test_mixture_tail_single_weight_is_scaled_chisq(k):
     phi = np.sin(2 * np.pi * grid.points) + 0.3
     lambdas, tail = eigen_mixture(np.outer(phi, phi), grid, k=k)
     assert lambdas.size == 1
-    for x in (1e-3, 0.1, 0.5, 1.0, 3.841459, 10.0, 40.0):
+    for x in (1e-8, 1e-3, 0.1, 0.5, 1.0, 3.841459, 10.0, 40.0, 1e6):
         assert tail(x) == pytest.approx(chi2.sf(x / lambdas[0], k - 1), abs=1e-9)
 
 
@@ -312,11 +312,41 @@ def test_mixture_tail_matches_monte_carlo(rng, k):
         assert abs(tail(x) - p_mc) <= 4 * se
 
 
-def test_mixture_tail_raises_when_quad_does_not_converge(monkeypatch):
+def _quad_tail(lambdas, k, x):
+    """The tail by scipy's adaptive quadrature of the same ray integrand."""
+    nu = k - 1
+    alpha = np.arccos(2.0 ** (-2.0 / (nu * lambdas.size)))
+    ray = np.exp(-1j * alpha)
+
+    def integrand(t):
+        u = t * ray
+        return np.exp(-0.5 * nu * np.sum(np.log1p(-1j * lambdas * u)) - 0.5j * x * u).imag / t
+
+    value, _ = quad(integrand, 0.0, np.inf, epsabs=1e-11, epsrel=0.0, limit=200)
+    return float(np.clip(0.5 + (value - alpha) / np.pi, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("r", [1, 2, 7, 30, 88])
+def test_mixture_tail_matches_quad_on_the_ray(rng, r):
+    """Unequal weights, up to rank 88: the double-exponential rule agrees
+    with adaptive quadrature of the same integral."""
+    grid = Grid.uniform(100)
+    v, _ = np.linalg.qr(rng.normal(size=(grid.size, r)))
+    u = v / np.sqrt(grid.weights)[:, None] * np.sqrt(np.linspace(1.0, 0.2, r))
+    for k in (2, 3, 5):
+        lambdas, tail = eigen_mixture(u @ u.T, grid, k=k)
+        assert lambdas.size == r
+        for x in (1e-3, 0.05, 0.5, 1.0, 3.84, 10.0, 40.0):
+            assert abs(tail(x) - _quad_tail(lambdas, k, x)) <= 1e-10, (k, x)
+
+
+def test_mixture_tail_raises_at_the_level_cap(monkeypatch):
     grid = Grid.uniform(30)
     _, tail = eigen_mixture(np.outer(np.ones(30), np.ones(30)), grid, k=2)
-    monkeypatch.setattr(inference, "quad", lambda *a, **kw: quad(*a, **{**kw, "limit": 1}))
-    with pytest.raises(NumericalError, match=r"statistic 1\.5 \(rank 1, error estimate"):
+    monkeypatch.setattr(inference, "_TAIL_LEVELS", 2)
+    with pytest.raises(NumericalError, match=r"^chi-square mixture tail did not converge at "
+                                             r"statistic 1\.5 \(rank 1, last difference "
+                                             r"\d\.\d{3}e[-+]\d+\)$"):
         tail(1.5)
 
 
@@ -489,6 +519,14 @@ def test_trend_ci_validations(rng):
     ens = bootstrap_ensemble(ds, huber(0.8), 100, 0)
     with pytest.raises(DataFormatError, match="does not match B"):
         trend_ci(ds, huber(0.8), probe, B=150, seed=0, ensemble=ens)
+    with pytest.raises(DataFormatError, match=r"ensemble seed \(1,\) does not match seed \(0,\)"):
+        trend_ci(ds, huber(0.8), probe, B=100, seed=0,
+                 ensemble=bootstrap_ensemble(ds, huber(0.8), 100, 1))
+    other = random_partial_dataset(rng, n=10, J=9)
+    with pytest.raises(DataFormatError, match="replicates not aligned with grid"):
+        trend_ci(ds, huber(0.8), probe, B=100, seed=0,
+                 ensemble=bootstrap_ensemble(other, huber(0.8), 100, 0))
+    trend_ci(ds, huber(0.8), probe, B=100, seed=(0,), ensemble=ens)  # the same key
 
 
 def test_trend_ci_deterministic(rng):
