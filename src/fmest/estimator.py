@@ -536,7 +536,7 @@ def _mad(values, mask, work: _Workspace) -> np.ndarray:
 
 
 def influence_function(dataset: Dataset, loss: LossSpec | ScaledHuber, theta_hat: np.ndarray,
-                       y_star: PartialCurve, d_floor: float = D_FLOOR) -> np.ndarray:
+                       y_star: PartialCurve) -> np.ndarray:
     """First-order effect of adding the curve ``y_star`` to the sample.
 
         IF(t) = mask*(t) psi(Y*(t) - theta(t)) / D(t),
@@ -545,7 +545,7 @@ def influence_function(dataset: Dataset, loss: LossSpec | ScaledHuber, theta_hat
     A :class:`ScaledHuber` uses the dataset's MAD cutoffs, the ones
     :func:`fit` solves with, held fixed.  Raises TypeError for anything
     that is not a loss, and NumericalError when the denominator D falls to
-    ``d_floor`` or below at any grid point.
+    D_FLOOR or below at any grid point.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     if theta_hat.shape != dataset.grid.points.shape:
@@ -557,12 +557,12 @@ def influence_function(dataset: Dataset, loss: LossSpec | ScaledHuber, theta_hat
     loss = _resolve_loss(loss, values, mask)
     resid = np.where(mask, values, theta_hat) - theta_hat
     d = np.where(mask, loss_psi_dot(loss, resid), 0.0).sum(axis=0) / dataset.n
-    low = d <= d_floor
+    low = d <= D_FLOOR
     if low.any():
         j = int(np.flatnonzero(low)[0])
         raise NumericalError(
             f"estimating-equation denominator D(t)={d[j]:.3e} at grid point {j} "
-            f"(t={dataset.grid.points[j]:g}) is at or below {d_floor:g}"
+            f"(t={dataset.grid.points[j]:g}) is at or below {D_FLOOR:g}"
         )
     y_res = np.where(y_star.mask, y_star.values, theta_hat) - theta_hat
     return np.where(y_star.mask, loss_psi(loss, y_res), 0.0) / d

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DataFormatError, Grid, integrate
-from .estimator import (NumericalError, _fit_parts, _on_threads, _Workspace, fit,
+from .estimator import (MEstimate, NumericalError, _fit_parts, _on_threads, _Workspace, fit,
                         interpolate_rows, solve_locations)
 from .seeding import as_key, make_rng, substreams
 
@@ -104,17 +104,20 @@ def resample(dataset: Dataset, seed, replicate_index: int) -> Dataset:
 
 @dataclass(frozen=True, eq=False)
 class BootstrapEnsemble:
-    """B interpolation-completed bootstrap location fits, stacked (B, J)."""
+    """The full-sample fit and B interpolation-completed bootstrap location
+    fits around it, stacked (B, J); B is ``len(replicates)``."""
 
+    estimate: MEstimate
     replicates: np.ndarray
-    B: int
-    seed: tuple
 
 
 def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsemble:
-    """Fit the location on B whole-curve resamples (replicate b uses the
-    substream (seed, b)).  ``loss`` goes unchanged to every solve, so a
-    scaled-huber loss recomputes its MAD cutoffs on every resample.
+    """Fit the location on the dataset itself (:func:`fit`) and on B
+    whole-curve resamples (replicate b uses the substream (seed, b)).
+    ``loss`` goes unchanged to every solve, so a scaled-huber loss
+    recomputes its MAD cutoffs on every resample.  The replicate solves
+    start from the full-sample fit.  No resample observes a point where
+    that fit is interpolated, so no solve reads the start there.
 
     Every batch is gathered into, and solved in, one workspace allocated per
     call; the last, shorter batch uses leading views of it.  The values are
@@ -130,14 +133,13 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     mask = dataset.mask
     n = dataset.n
     J = dataset.grid.size
-    key = as_key(seed)
     idx = np.empty((B, n), dtype=np.int64)
-    for b, rng in enumerate(substreams(key, B)):
+    for b, rng in enumerate(substreams(as_key(seed), B)):
         idx[b] = _draw_indices(rng, n)
     out = np.empty((B, J))
     # replicate roots cluster around the full-sample fit, so start there
     # (square and quantile losses have closed forms and ignore the start)
-    warm = solve_locations(values, mask, loss)
+    estimate = fit(dataset, loss)
     filled = np.where(mask, values, 0.0)
     shape = (min(BOOTSTRAP_BATCH, B), n, J)
     m_buf = np.empty(shape, dtype=bool)
@@ -155,13 +157,12 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
 
         _on_threads(gather, _fit_parts(work.v0))
         try:
-            out[start:stop] = solve_locations(work.v0, m, loss, theta0=warm, work=work)
+            out[start:stop] = solve_locations(work.v0, m, loss, theta0=estimate.theta, work=work)
         except NumericalError as exc:
             if exc.fit is None:  # not a stacked root solve's error
                 raise
             raise NumericalError(f"bootstrap replicate {start + exc.fit[0]}: {exc}") from exc
-    out = interpolate_rows(out, dataset.grid.points)
-    return BootstrapEnsemble(replicates=out, B=B, seed=key)
+    return BootstrapEnsemble(estimate, interpolate_rows(out, dataset.grid.points))
 
 
 # -- chi-square mixture calibration --------------------------------------------
@@ -175,7 +176,9 @@ def eigen_mixture(xi_star: np.ndarray, grid: Grid, k: int):
     Returns (lambdas, tail) where tail(x) = P(sum_r lambda_r chisq_{k-1, r} >= x),
     computed by Imhof's characteristic-function inversion with a
     double-exponential trapezoid rule to absolute error about TAIL_TOL; a
-    rule that has not converged after its last level raises NumericalError.
+    rule that has not converged after its last level gives 0.0 when a
+    Chernoff bound puts the tail at or below TAIL_TOL, and raises
+    NumericalError otherwise.
     """
     xi = np.asarray(xi_star, dtype=float)
     J = grid.size
@@ -232,6 +235,13 @@ def eigen_mixture(xi_star: np.ndarray, grid: Grid, k: int):
             diff = abs(value - previous)
             if diff <= 0.01 * TAIL_TOL:
                 return float(np.clip(0.5 + (value - alpha) / np.pi, 0.0, 1.0))
+        # A decisive statistic at high rank makes the ray integrand oscillate
+        # too fast for the rule.  The Chernoff bound e^{-sx} prod_r
+        # (1 - 2 s lambda_r)^{-nu/2}, at s = 1 / (4 lambda_max), may still
+        # show that the tail is below the rule's accuracy.
+        s = 0.25 / lambdas[0]
+        if -s * x - 0.5 * nu * np.log1p(-2.0 * s * lambdas).sum() <= np.log(TAIL_TOL):
+            return 0.0
         raise NumericalError(
             f"chi-square mixture tail did not converge at statistic {x:.6g} "
             f"(rank {lambdas.size}, last difference {diff:.3e})")
@@ -258,7 +268,8 @@ def anova_l2_test(groups, loss, B: int, seed) -> TestResult:
     between-group sum of squares, bootstrap-normalized and calibrated
     against a chi-square mixture.
 
-    Group g's replicate b resamples on the substream (seed, g, b).  The
+    Group g's bootstrap ensemble resamples replicate b on the substream
+    (seed, g, b), and its full-sample fit is that group's location.  The
     pooled pointwise variance weights each group's bootstrap spread by its
     sample size, which keeps the normalization consistent for balanced and
     unbalanced designs alike.
@@ -267,8 +278,6 @@ def anova_l2_test(groups, loss, B: int, seed) -> TestResult:
     k = len(groups)
     if k < 2:
         raise DataFormatError("need at least 2 groups")
-    if B < MIN_BOOTSTRAP:
-        raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
     grid = groups[0].grid
     for g, ds in enumerate(groups[1:], start=1):
         if not grid.same_points(ds.grid):
@@ -279,23 +288,23 @@ def anova_l2_test(groups, loss, B: int, seed) -> TestResult:
     n_total = float(sizes.sum())
     key = as_key(seed)
 
-    theta_hat = np.stack([fit(ds, loss).theta for ds in groups])
+    J = grid.size
+    theta_hat = np.empty((k, J))
+    xi = np.zeros((J, J))
+    for g, ds in enumerate(groups):
+        ens = bootstrap_ensemble(ds, loss, B, (*key, g))
+        theta_hat[g] = ens.estimate.theta
+        dev = ens.replicates - ens.replicates.mean(axis=0)
+        # einsum, unlike the BLAS product, sums in the same order at any
+        # BLAS thread count, so the result bytes do not depend on it
+        xi += sizes[g] * np.einsum("bi,bj->ij", dev, dev)
+    xi /= k * B
     # center on the first group's fit so byte-identical groups give SSR == 0
     # exactly instead of picking up grand-mean rounding noise
     dev = theta_hat - theta_hat[0]
     grand_dev = (sizes[:, None] * dev).sum(axis=0) / n_total
     ssr = (sizes[:, None] * (dev - grand_dev) ** 2).sum(axis=0)
     numerator = integrate(ssr, grid)
-
-    J = grid.size
-    xi = np.zeros((J, J))
-    for g, ds in enumerate(groups):
-        ens = bootstrap_ensemble(ds, loss, B, (*key, g))
-        dev = ens.replicates - ens.replicates.mean(axis=0)
-        # einsum, unlike the BLAS product, sums in the same order at any
-        # BLAS thread count, so the result bytes do not depend on it
-        xi += sizes[g] * np.einsum("bi,bj->ij", dev, dev)
-    xi /= k * B
     lambdas, tail = eigen_mixture(xi, grid, k)  # rejects a trace that is not positive
     trace = float(np.dot(grid.weights, np.diag(xi)))
     statistic = numerator / trace
@@ -315,7 +324,6 @@ class TrendCI:
     upper: float
     alpha: float
     B: int
-    boot_median: float
 
     @property
     def significant(self) -> bool:
@@ -324,12 +332,12 @@ class TrendCI:
 
 
 def trend_ci(dataset: Dataset, loss, probe, B: int, seed, alpha: float = 0.05,
-             probe_name: str = "", ensemble: BootstrapEnsemble | None = None) -> TrendCI:
+             probe_name: str = "") -> TrendCI:
     """Percentile interval for integral( theta(t) * probe(t) dt ).
 
-    Replicate b resamples on the substream (seed, b).  Pass ``ensemble`` to
-    reuse precomputed bootstrap fits (it must come from the same dataset,
-    loss, and seed).
+    The coefficient is that of the full-sample fit, and the interval takes
+    the alpha/2 and 1 - alpha/2 quantiles of the B bootstrap replicates'
+    coefficients; replicate b resamples on the substream (seed, b).
     """
     probe = np.asarray(probe, dtype=float)
     if probe.shape != dataset.grid.points.shape:
@@ -338,21 +346,16 @@ def trend_ci(dataset: Dataset, loss, probe, B: int, seed, alpha: float = 0.05,
         raise DataFormatError("probe must be finite")
     if not 0.0 < alpha < 1.0:
         raise DataFormatError("alpha must lie in (0, 1)")
-    if B < MIN_BOOTSTRAP:
-        raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
-    est = fit(dataset, loss)
-    coefficient = integrate(est.theta * probe, dataset.grid)
-    if ensemble is None:
-        ensemble = bootstrap_ensemble(dataset, loss, B, seed)
-    elif ensemble.B != B:
-        raise DataFormatError("ensemble size does not match B")
-    elif ensemble.seed != as_key(seed):
-        raise DataFormatError(f"ensemble seed {ensemble.seed} does not match seed {as_key(seed)}")
-    elif ensemble.replicates.shape[1:] != dataset.grid.points.shape:
-        raise DataFormatError("ensemble replicates not aligned with grid")
-    weighted = dataset.grid.weights * probe
-    coeffs = ensemble.replicates @ weighted
+    return _percentile_interval(bootstrap_ensemble(dataset, loss, B, seed), probe, alpha,
+                                probe_name)
+
+
+def _percentile_interval(ensemble: BootstrapEnsemble, probe: np.ndarray, alpha: float,
+                         name: str) -> TrendCI:
+    """The :func:`trend_ci` interval of one ensemble, for a probe on its grid."""
+    grid = ensemble.estimate.grid
+    coefficient = integrate(ensemble.estimate.theta * probe, grid)
+    coeffs = ensemble.replicates @ (grid.weights * probe)
     lower, upper = np.quantile(coeffs, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return TrendCI(probe=probe_name, coefficient=float(coefficient),
-                   lower=float(lower), upper=float(upper), alpha=float(alpha),
-                   B=B, boot_median=float(np.median(coeffs)))
+    return TrendCI(probe=name, coefficient=float(coefficient), lower=float(lower),
+                   upper=float(upper), alpha=float(alpha), B=len(coeffs))

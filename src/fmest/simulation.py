@@ -30,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, DataFormatError, Grid, _restrict_grid, integrate, matrix_dataset
-from .estimator import (NumericalError, STATUS_UNDEFINED, MEstimate, _Workspace,
-                        interpolate_rows, solve_locations)
-from .inference import anova_l2_test, bootstrap_ensemble, parse_probe, trend_ci
+from .estimator import NumericalError, _Workspace, interpolate_rows, solve_locations
+from .inference import _percentile_interval, anova_l2_test, bootstrap_ensemble, parse_probe
 from .losses import parse_loss
 from .sampling import MissingScheme, generate_masks, parse_scheme
 from .seeding import as_key, make_rng
@@ -237,14 +236,9 @@ def generate_curves(model: ProcessModel, n: int, grid: Grid, seed) -> np.ndarray
     return x
 
 
-def ise(estimate, mu_true: np.ndarray) -> float:
+def ise(theta, mu_true: np.ndarray) -> float:
     """Mean squared error over grid points (uniform average, not quadrature)."""
-    if isinstance(estimate, MEstimate):
-        if np.any(estimate.status == STATUS_UNDEFINED):
-            raise NumericalError("estimate has undefined points; interpolate first")
-        theta = estimate.theta
-    else:
-        theta = np.asarray(estimate, dtype=float)
+    theta = np.asarray(theta, dtype=float)
     mu_true = np.asarray(mu_true, dtype=float)
     if theta.shape != mu_true.shape:
         raise DataFormatError("estimate/truth misaligned")
@@ -413,8 +407,8 @@ def run_coverage_study(config: ScenarioConfig) -> list[dict]:
 
     The target is the probe coefficient of the true mean computed by the same
     quadrature the estimator uses, on the same analysis grid.  Repetition r
-    uses substreams (seed, r, 0) curves, (seed, r, 1) masks, (seed, r, 2)
-    bootstrap.
+    uses substreams (seed, r, 0) curves, (seed, r, 1) masks, (seed, r, 2, l)
+    bootstrap for the l-th loss; one ensemble per loss serves every probe.
     """
     if not config.probes:
         raise DataFormatError("coverage study needs at least one probe")
@@ -430,8 +424,7 @@ def run_coverage_study(config: ScenarioConfig) -> list[dict]:
             ens = bootstrap_ensemble(dataset, choice, config.B, (*key, r, 2, li))
             for probe_text in config.probes:
                 pname, pvals = parse_probe(probe_text, dataset.grid)
-                ci = trend_ci(dataset, choice, pvals, config.B, (*key, r, 2, li),
-                              alpha=config.alpha, probe_name=pname, ensemble=ens)
+                ci = _percentile_interval(ens, pvals, config.alpha, pname)
                 truth = integrate(mu * pvals, dataset.grid)
                 out[(text, probe_text)] = (
                     ci.lower <= truth <= ci.upper,

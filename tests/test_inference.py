@@ -11,7 +11,8 @@ from scipy.stats import chi2
 from conftest import random_partial_dataset
 from fmest import estimator, inference
 from fmest.data import DataFormatError, Dataset, Grid, PartialCurve, integrate, matrix_dataset
-from fmest.estimator import NumericalError, interpolate_rows, mad_cutoffs, solve_locations
+from fmest.estimator import (NumericalError, fit, influence_function, interpolate_rows,
+                             mad_cutoffs, solve_locations)
 from fmest.inference import (
     anova_l2_test,
     bootstrap_ensemble,
@@ -232,6 +233,35 @@ def test_bootstrap_ensemble_error_names_the_replicate(rng, monkeypatch):
     assert err.value.args[0].startswith(f"bootstrap replicate {64 + fit}: ")
 
 
+@pytest.mark.parametrize("loss", [huber(0.8), smoothed_quantile(0.3, 1.0)],
+                         ids=["huber", "squantile"])
+def test_bootstrap_covariance_matches_influence_function_covariance(loss):
+    """The bootstrap covariance of the location fit approximates the
+    asymptotic one, the covariance of the influence function IF_i(t) at the
+    full-sample fit divided by n.  80 model1 curves on random intervals of
+    a grid on [0.1, 0.9], where D(t) > 0; B = 2000.  Only the weighted trace
+    ratio and the top three normalized eigenvalues are compared (pointwise
+    variance ratios scatter far more).  Over seeds 0-39 the ratio ranged
+    over [0.85, 1.08] (huber) and [0.89, 1.06] (squantile), and the share
+    differences stayed within 0.043, so the bands are [0.8, 1.2] and 0.06."""
+    from fmest.sampling import generate_masks, random_interval
+    from fmest.simulation import generate_curves, model_preset
+
+    grid = Grid.from_unit_points(np.linspace(0.1, 0.9, 41))
+    n, seed = 80, 2026
+    ds = matrix_dataset(grid, generate_curves(model_preset("model1"), n, grid, (seed, 0)),
+                        generate_masks(random_interval(0.3, 0.3), n, grid, (seed, 1)))
+    ens = bootstrap_ensemble(ds, loss, 2000, (seed, 2))
+    infl = np.stack([influence_function(ds, loss, ens.estimate.theta, y) for y in ds.curves])
+    sw = np.sqrt(grid.weights)
+    boot = np.cov(ens.replicates, rowvar=False, bias=True) * np.outer(sw, sw)
+    # the influence function has mean zero: the fit solves its estimating equation
+    asym = infl.T @ infl / n ** 2 * np.outer(sw, sw)
+    assert 0.8 <= np.trace(boot) / np.trace(asym) <= 1.2
+    shares = [np.linalg.eigvalsh(c)[::-1][:3] / np.trace(c) for c in (boot, asym)]
+    np.testing.assert_allclose(shares[0], shares[1], atol=0.06, rtol=0)
+
+
 # -- eigenvalue mixture ----------------------------------------------------------
 
 def test_eigen_mixture_rank_one():
@@ -348,6 +378,15 @@ def test_mixture_tail_raises_at_the_level_cap(monkeypatch):
                                              r"statistic 1\.5 \(rank 1, last difference "
                                              r"\d\.\d{3}e[-+]\d+\)$"):
         tail(1.5)
+
+
+def test_mixture_tail_of_a_decisive_statistic_is_zero():
+    """At rank 100 and k = 10 the rule does not converge at T = 1e10, but
+    the Chernoff bound puts the tail far below TAIL_TOL, so it is 0."""
+    grid = Grid.uniform(100)
+    lambdas, tail = eigen_mixture(np.eye(100) / grid.weights, grid, k=10)
+    assert lambdas.size == 100
+    assert tail(1e10) == 0.0
 
 
 def test_eigen_mixture_rejects_asymmetry():
@@ -486,25 +525,61 @@ def test_trend_orthogonal_probe_coefficient_is_zero():
     assert coef == pytest.approx(0.0, abs=1e-3)
 
 
-def test_trend_ci_brackets_its_bootstrap_median(rng):
-    ds = random_partial_dataset(rng, n=20, J=15)
-    ci = trend_ci(ds, huber(0.8), linear_probe(ds.grid.points), B=200, seed=2,
-                  probe_name="linear")
-    assert ci.lower <= ci.boot_median <= ci.upper
-    assert ci.B == 200 and ci.alpha == 0.05
+def test_trend_ci_equals_fit_and_ensemble_quantiles(rng):
+    """The coefficient is the full-sample fit's, and the bounds are the
+    alpha/2 and 1 - alpha/2 quantiles of the replicates' coefficients, bit
+    for bit; the ensemble carries that same fit."""
+    ds = random_partial_dataset(rng, n=20, J=15, missing=0.5)
+    probe = linear_probe(ds.grid.points)
+    weights = ds.grid.weights
+    for loss in (huber(0.8), ScaledHuber(3.0), quantile(0.5)):
+        ci = trend_ci(ds, loss, probe, B=200, seed=2, alpha=0.1, probe_name="linear")
+        est = fit(ds, loss)
+        ens = bootstrap_ensemble(ds, loss, 200, 2)
+        np.testing.assert_array_equal(ens.estimate.theta, est.theta)
+        lower, upper = np.quantile(ens.replicates @ (weights * probe), [0.05, 0.95])
+        assert ci.coefficient == integrate(est.theta * probe, ds.grid)
+        assert (ci.lower, ci.upper) == (lower, upper)
+        assert (ci.probe, ci.alpha, ci.B) == ("linear", 0.1, 200)
+
+
+def test_inference_fits_each_dataset_once(rng, monkeypatch):
+    """One unstacked solve per fitted dataset: trend_ci fits its dataset
+    once, and anova_l2_test each of its k groups once; the bootstrap
+    replicates start from that fit instead of solving the sample again."""
+    unstacked = []
+    for module in (estimator, inference):
+        def spy(values, mask, loss, theta0=None, _solve=module.solve_locations, **kwargs):
+            if np.ndim(values) == 2:
+                unstacked.append(np.shape(values))
+            return _solve(values, mask, loss, theta0=theta0, **kwargs)
+
+        monkeypatch.setattr(module, "solve_locations", spy)
+    ds = random_partial_dataset(rng, n=15, J=10)
+    for loss in (huber(0.8), ScaledHuber(3.0)):
+        unstacked.clear()
+        trend_ci(ds, loss, linear_probe(ds.grid.points), B=100, seed=3)
+        assert unstacked == [(15, 10)]
+        for k in (2, 3):
+            groups = [random_partial_dataset(rng, n=8 + g, J=10) for g in range(k)]
+            unstacked.clear()
+            anova_l2_test(groups, loss, B=100, seed=4)
+            assert unstacked == [(8 + g, 10) for g in range(k)]
 
 
 def test_trend_ci_nesting_and_reuse(rng):
     """The 99% interval contains the 95% one when both come from the same
-    replicate set, and a precomputed ensemble reproduces the direct call."""
+    ensemble, and the shared interval step on trend_ci's ensemble gives
+    trend_ci's interval."""
     ds = random_partial_dataset(rng, n=18, J=12)
     probe = quadratic_probe(ds.grid.points)
     ens = bootstrap_ensemble(ds, huber(0.8), 150, 13)
-    wide = trend_ci(ds, huber(0.8), probe, B=150, seed=13, alpha=0.01, ensemble=ens)
-    narrow = trend_ci(ds, huber(0.8), probe, B=150, seed=13, alpha=0.05, ensemble=ens)
+    wide = inference._percentile_interval(ens, probe, 0.01, "quadratic")
+    narrow = inference._percentile_interval(ens, probe, 0.05, "quadratic")
     assert wide.lower <= narrow.lower <= narrow.upper <= wide.upper
-    direct = trend_ci(ds, huber(0.8), probe, B=150, seed=13, alpha=0.05)
-    assert direct.lower == narrow.lower and direct.upper == narrow.upper
+    assert wide.coefficient == narrow.coefficient
+    direct = trend_ci(ds, huber(0.8), probe, B=150, seed=13, alpha=0.05, probe_name="quadratic")
+    assert vars(direct) == vars(narrow)
 
 
 def test_trend_ci_validations(rng):
@@ -516,17 +591,8 @@ def test_trend_ci_validations(rng):
         trend_ci(ds, huber(0.8), probe, B=20, seed=0)
     with pytest.raises(DataFormatError, match="aligned"):
         trend_ci(ds, huber(0.8), np.ones(9), B=100, seed=0)
-    ens = bootstrap_ensemble(ds, huber(0.8), 100, 0)
-    with pytest.raises(DataFormatError, match="does not match B"):
-        trend_ci(ds, huber(0.8), probe, B=150, seed=0, ensemble=ens)
-    with pytest.raises(DataFormatError, match=r"ensemble seed \(1,\) does not match seed \(0,\)"):
-        trend_ci(ds, huber(0.8), probe, B=100, seed=0,
-                 ensemble=bootstrap_ensemble(ds, huber(0.8), 100, 1))
-    other = random_partial_dataset(rng, n=10, J=9)
-    with pytest.raises(DataFormatError, match="replicates not aligned with grid"):
-        trend_ci(ds, huber(0.8), probe, B=100, seed=0,
-                 ensemble=bootstrap_ensemble(other, huber(0.8), 100, 0))
-    trend_ci(ds, huber(0.8), probe, B=100, seed=(0,), ensemble=ens)  # the same key
+    with pytest.raises(DataFormatError, match="finite"):
+        trend_ci(ds, huber(0.8), np.full(8, np.nan), B=100, seed=0)
 
 
 def test_trend_ci_deterministic(rng):

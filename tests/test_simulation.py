@@ -10,7 +10,7 @@ import pytest
 from fmest import estimator, simulation
 from fmest.data import DataFormatError, Grid, integrate, matrix_dataset, restrict_dataset
 from fmest.estimator import NumericalError, fit, fit_marginal
-from fmest.inference import anova_l2_test, quadratic_probe
+from fmest.inference import anova_l2_test, parse_probe, quadratic_probe, trend_ci
 from fmest.losses import huber, parse_loss
 from fmest.sampling import complete, generate_masks, parse_scheme, random_interval
 from fmest.simulation import (
@@ -171,7 +171,7 @@ def test_ise_discrete_mean():
     grid = Grid.uniform(3)
     ds = matrix_dataset(grid, np.tile(mu, (4, 1)), np.ones((4, 3), dtype=bool))
     est = fit_marginal(ds, huber(5.0))
-    assert ise(est, mu) == pytest.approx(0.0, abs=1e-20)
+    assert ise(est.theta, mu) == pytest.approx(0.0, abs=1e-20)
     with pytest.raises(DataFormatError):
         ise(theta, mu[:2])
 
@@ -228,7 +228,8 @@ def test_run_ise_study_equals_repetition_loop(scheme, trim, monkeypatch):
     if scheme.startswith("snippet"):
         assert min(ds.n for ds in datasets) < 30  # the trim dropped curves
     mu = model_mean(cfg["model"], datasets[0].grid.points)
-    loop = {text: [ise(fit(ds, parse_loss(text)), mu) for ds in datasets] for text in ALL_LOSSES}
+    loop = {text: [ise(fit(ds, parse_loss(text)).theta, mu) for ds in datasets]
+            for text in ALL_LOSSES}
     medians = {text: float(np.median(v)) for text, v in loop.items()}
     expected = [{"scenario": "m3", "estimator": text, "probe": "", "metric": "median_ise",
                  "value": medians[text]} for text in ALL_LOSSES]
@@ -237,8 +238,8 @@ def test_run_ise_study_equals_repetition_loop(scheme, trim, monkeypatch):
                   "value": medians["square"] / medians[text]} for text in ALL_LOSSES[1:]]
     seen = []
 
-    def spy(estimate, mu_true):
-        seen.append(ise(estimate, mu_true))
+    def spy(theta, mu_true):
+        seen.append(ise(theta, mu_true))
         return seen[-1]
 
     monkeypatch.setattr(simulation, "ise", spy)
@@ -357,6 +358,39 @@ def test_run_coverage_study_rows():
     with pytest.raises(DataFormatError, match="needs at least one probe"):
         run_coverage_study(ScenarioConfig(model=model_preset("probe-gaussian"),
                                           scheme=complete(), probes=()))
+
+
+def test_run_coverage_study_matches_trend_ci_loop():
+    """Same streams and numbers as a hand-written loop over trend_ci:
+    repetition r's dataset on (seed, r), and for the l-th loss one ensemble
+    on (seed, r, 2, l) that every probe's interval shares."""
+    losses = ("huber:0.8", "quantile:0.5")
+    probes = ("linear", "step:0.4")
+    cfg = ScenarioConfig(model=model_preset("probe-gaussian"), scheme=random_interval(),
+                         n=12, grid_size=20, losses=losses, B=100, repetitions=3, seed=55,
+                         probes=probes, alpha=0.2, model_name="pg")
+    grid = Grid.uniform(20)
+    hits = {(text, probe): [] for text in losses for probe in probes}
+    lengths = {(text, probe): [] for text in losses for probe in probes}
+    for r in range(3):
+        ds = _draw_dataset(cfg, grid, (55, r))
+        mu = model_mean(cfg.model, ds.grid.points)
+        for li, text in enumerate(losses):
+            for probe in probes:
+                name, values = parse_probe(probe, ds.grid)
+                ci = trend_ci(ds, parse_loss(text), values, 100, (55, r, 2, li), alpha=0.2,
+                              probe_name=name)
+                truth = integrate(mu * values, ds.grid)
+                hits[text, probe].append(ci.lower <= truth <= ci.upper)
+                lengths[text, probe].append(ci.upper - ci.lower)
+    expected = []
+    for text in losses:
+        for probe in probes:
+            row = {"scenario": "pg", "estimator": text, "probe": probe}
+            expected += [{**row, "metric": "coverage", "value": float(np.mean(hits[text, probe]))},
+                         {**row, "metric": "median_ci_length",
+                          "value": float(np.median(lengths[text, probe]))}]
+    assert run_coverage_study(cfg) == expected
 
 
 @pytest.mark.parametrize("shift", [0.0, 3.0])
