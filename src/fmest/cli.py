@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,6 +50,12 @@ def _write_manifest(out_path: Path, command: str, config: dict, seed,
         fh.write("\n")
 
 
+def _write_json(payload: dict, path: Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def _write_rows_csv(rows: list, columns: list, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -64,13 +71,10 @@ def _cmd_estimate(args) -> int:
     dataset = load_csv(args.data)
     est = fit(dataset, parse_loss(args.loss))
     out = Path(args.out)
-    t_src = dataset.grid.source_points
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "theta", "n_eff", "status"])
-        for j in range(dataset.grid.size):
-            writer.writerow([_NUM_FMT % t_src[j], _NUM_FMT % est.theta[j],
-                             int(est.n_eff[j]), est.status[j]])
+    rows = [{"t": float(t), "theta": float(theta), "n_eff": int(n_eff), "status": status}
+            for t, theta, n_eff, status in zip(dataset.grid.source_points, est.theta,
+                                               est.n_eff, est.status)]
+    _write_rows_csv(rows, ["t", "theta", "n_eff", "status"], out)
     _write_manifest(out, "estimate",
                     {"data": str(args.data), "loss": args.loss}, None, [out], started)
     return 0
@@ -98,9 +102,7 @@ def _cmd_fanova(args) -> int:
         "group_labels": labels,
         "B": result.B,
     }
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(payload, out)
     print(f"T = {result.statistic:.6g}, p = {result.p_value:.6g} "
           f"({result.groups} groups, B={result.B})")
     _write_manifest(out, "fanova",
@@ -126,9 +128,7 @@ def _cmd_trend(args) -> int:
         "B": ci.B,
         "significant": ci.significant,
     }
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(payload, out)
     print(f"coef({ci.probe}) = {ci.coefficient:.6g}, "
           f"{100 * (1 - ci.alpha):g}% CI [{ci.lower:.6g}, {ci.upper:.6g}]"
           + (" *" if ci.significant else ""))
@@ -143,9 +143,9 @@ def _cmd_simulate(args) -> int:
     started = _utcnow()
     study, config = read_scenario_config(args.config)
     if args.seed is not None:
-        config = type(config)(**{**config.__dict__, "seed": args.seed})
+        config = replace(config, seed=args.seed)
     if args.threads is not None:
-        config = type(config)(**{**config.__dict__, "threads": args.threads})
+        config = replace(config, threads=args.threads)
     rows = run_study(study, config)
     out = Path(args.out)
     _write_rows_csv(rows, ["scenario", "estimator", "probe", "metric", "value"], out)

@@ -156,15 +156,18 @@ def _fit_parts(values: np.ndarray) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _on_threads(fn, parts: list) -> list:
-    """``[fn(p) for p in parts]``, the first part on this thread and every
-    other on a thread of its own.  Once every part has returned, the error
-    of the first part that failed reaches the caller."""
+def _by_parts(fn, values: np.ndarray) -> np.ndarray:
+    """``fn(fits)`` for each part ``fits`` of :func:`_fit_parts` of the
+    stacked ``values``, concatenated along the leading axis; the array of a
+    single part is returned as is.  The first part runs on this thread and
+    every other on a thread of its own.  Once every part has returned, the
+    error of the first part that failed reaches the caller."""
+    parts = _fit_parts(values)
     if len(parts) == 1:
-        return [fn(parts[0])]
+        return fn(parts[0])
     with ThreadPoolExecutor(len(parts) - 1) as pool:
         jobs = [pool.submit(fn, p) for p in parts[1:]]
-        return [fn(parts[0])] + [job.result() for job in jobs]
+        return np.concatenate([fn(parts[0])] + [job.result() for job in jobs])
 
 
 class _RootProblem:
@@ -341,11 +344,11 @@ def solve_locations(values, mask, loss: LossSpec | ScaledHuber,
     if work is None:
         work = _Workspace.empty(values.shape)
     # each fit's root reads only its own columns, so parts change no bit
-    return np.concatenate(_on_threads(
+    return _by_parts(
         lambda fits: _root_solve(values[fits], mask[fits], loss, c[fits] if np.ndim(c) else c,
                                  None if theta0 is None else theta0[fits], work[fits],
                                  fits.start or 0),
-        _fit_parts(values)))
+        values)
 
 
 def _root_solve(values, mask, loss: LossSpec, c, theta0, work: _Workspace,
@@ -514,8 +517,7 @@ def mad_cutoffs(values: np.ndarray, mask: np.ndarray, r: float, *,
     values, mask = np.asarray(values), np.asarray(mask)
     if work is None:
         work = _Workspace.empty(values.shape)
-    mad = np.concatenate(_on_threads(lambda fits: _mad(values[fits], mask[fits], work[fits]),
-                                     _fit_parts(values)))
+    mad = _by_parts(lambda fits: _mad(values[fits], mask[fits], work[fits]), values)
     return np.fmax(r * mad, C_FLOOR)
 
 
@@ -544,12 +546,16 @@ def influence_function(dataset: Dataset, loss: LossSpec | ScaledHuber, theta_hat
 
     A :class:`ScaledHuber` uses the dataset's MAD cutoffs, the ones
     :func:`fit` solves with, held fixed.  Raises TypeError for anything
-    that is not a loss, and NumericalError when the denominator D falls to
+    that is not a loss, DataFormatError when ``y_star`` does not lie on the
+    dataset's grid, and NumericalError when the denominator D falls to
     D_FLOOR or below at any grid point.
     """
     theta_hat = np.asarray(theta_hat, dtype=float)
     if theta_hat.shape != dataset.grid.points.shape:
         raise DataFormatError("theta_hat not aligned with grid")
+    if y_star.values.size != dataset.grid.size:
+        raise DataFormatError(f"curve {y_star.id!r} has {y_star.values.size} points, "
+                              f"the grid has {dataset.grid.size}")
     if not np.all(np.isfinite(theta_hat)):
         raise DataFormatError("theta_hat must be finite (interpolate undefined points first)")
     values = dataset.values

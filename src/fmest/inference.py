@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DataFormatError, Grid, integrate
-from .estimator import (MEstimate, NumericalError, _fit_parts, _on_threads, _Workspace, fit,
-                        interpolate_rows, solve_locations)
+from .estimator import (MEstimate, NumericalError, _Workspace, fit, interpolate_rows,
+                        solve_locations)
 from .seeding import as_key, make_rng, substreams
 
 MIN_BOOTSTRAP = 100
-# replicates per solve_locations call in bootstrap_ensemble; threads split a
-# batch between them, so memory does not grow with the CPU count
+# replicates per solve_locations call in bootstrap_ensemble; the solve's
+# threads split a batch between them, so memory does not grow with the CPU count
 BOOTSTRAP_BATCH = 64
 # absolute accuracy of the Imhof integral: its double-exponential rule stops
 # once two successive levels differ by at most 0.01 TAIL_TOL
@@ -121,12 +121,12 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
 
     Every batch is gathered into, and solved in, one workspace allocated per
     call; the last, shorter batch uses leading views of it.  The values are
-    gathered from a zero-filled copy straight into the workspace's ``v0``,
-    which the solve then reads in place.  Each batch's gather, MAD cutoffs
-    and root solve split across the usable CPUs when the batch is large
-    enough (see :func:`solve_locations`); the result is the same, bit for
-    bit, at any thread count.  A root solve that fails is re-raised naming
-    the replicate."""
+    gathered on the calling thread from a zero-filled copy straight into the
+    workspace's ``v0``, which the solve then reads in place.  Each batch's
+    MAD cutoffs and root solve split across the usable CPUs when the batch
+    is large enough (see :func:`solve_locations`); the result is the same,
+    bit for bit, at any thread count.  A root solve that fails is re-raised
+    naming the replicate."""
     if B < MIN_BOOTSTRAP:
         raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
     values = dataset.values
@@ -149,13 +149,9 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
         k = stop - start
         m, work = m_buf[:k], w_buf[:k]
         # mode="clip" (the indices are in range) lets take write straight
-        # into v0 and m; the default mode="raise" gathers into a temporary.
-        # The gather splits across threads as the solve does.
-        def gather(fits, rows=idx[start:stop], v=work.v0, m=m):
-            np.take(filled, rows[fits], axis=0, out=v[fits], mode="clip")
-            np.take(mask, rows[fits], axis=0, out=m[fits], mode="clip")
-
-        _on_threads(gather, _fit_parts(work.v0))
+        # into v0 and m; the default mode="raise" gathers into a temporary
+        np.take(filled, idx[start:stop], axis=0, out=work.v0, mode="clip")
+        np.take(mask, idx[start:stop], axis=0, out=m, mode="clip")
         try:
             out[start:stop] = solve_locations(work.v0, m, loss, theta0=estimate.theta, work=work)
         except NumericalError as exc:

@@ -222,16 +222,9 @@ def generate_curves(model: ProcessModel, n: int, grid: Grid, seed) -> np.ndarray
     cont = model.contamination
     if cont is not None:
         seg = (points >= cont.lo) & (points <= cont.hi)
-        m = int(seg.sum())
-        if m:
-            rng_c = make_rng((*key, 2))
-            if cont.d is None:
-                noise = rng_c.standard_cauchy(size=(n, m))
-            else:
-                L = _correlated_factor(points[seg].tobytes(), cont.d)
-                z = rng_c.standard_normal((n, m)) @ L.T
-                mix = rng_c.chisquare(1.0, size=n)
-                noise = z / np.sqrt(mix)[:, None]
+        if seg.any():
+            noise = _draw_errors(ErrorModel("cauchy", d=cont.d), make_rng((*key, 2)), n,
+                                 points[seg])
             x[:, seg] = mu[seg] + cont.scale * noise
     return x
 

@@ -730,6 +730,19 @@ def test_influence_function_raises_on_tiny_denominator():
         influence_function(ds, huber(0.5), np.full(3, 50.0), y)
 
 
+@pytest.mark.parametrize("points", [1, 12])
+def test_influence_function_rejects_a_curve_off_the_grid(rng, points):
+    """A contaminating curve with another number of points than the grid
+    fails naming the curve and both lengths, also a single point, which
+    would otherwise broadcast."""
+    ds = random_partial_dataset(rng, n=20, J=10)
+    theta = fit(ds, huber(0.8)).theta
+    y = PartialCurve("y*", "0", np.zeros(points), np.ones(points, dtype=bool))
+    with pytest.raises(DataFormatError, match=rf"^curve 'y\*' has {points} points, "
+                                              r"the grid has 10$"):
+        influence_function(ds, huber(0.8), theta, y)
+
+
 def test_influence_function_masked_contaminator(rng):
     ds = random_partial_dataset(rng, n=40, J=8)
     loss = huber(1.0)

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from fmest.estimator import NumericalError, fit, fit_marginal
 from fmest.inference import anova_l2_test, parse_probe, quadratic_probe, trend_ci
 from fmest.losses import huber, parse_loss
 from fmest.sampling import complete, generate_masks, parse_scheme, random_interval
+from fmest.seeding import make_rng
 from fmest.simulation import (
     CHOL_JITTER,
     ConstantScale,
@@ -93,6 +95,31 @@ def test_contamination_only_touches_its_segment():
     seg = (GRID.points >= 0.2) & (GRID.points <= 0.4)
     np.testing.assert_array_equal(a[:, ~seg], b[:, ~seg])
     assert not np.array_equal(a[:, seg], b[:, seg])
+
+
+@pytest.mark.parametrize("name", ["model5", "model6"])
+def test_contaminated_curves_equal_a_direct_segment_draw(name):
+    """White (model5) and correlated (model6) contamination draw, bit for
+    bit, Cauchy noise on the segment from substream (seed, 2): standard
+    normals times the segment's jittered Cholesky factor over the root of a
+    chi-square(1) per curve when correlated."""
+    model = model_preset(name)
+    cont = model.contamination
+    n, seed = 8, 7
+    points = GRID.points
+    seg = (points >= cont.lo) & (points <= cont.hi)
+    m = int(seg.sum())
+    rng = make_rng((seed, 2))
+    if cont.d is None:
+        noise = rng.standard_cauchy(size=(n, m))
+    else:
+        gap = np.abs(points[seg][:, None] - points[seg][None, :])
+        factor = np.linalg.cholesky(np.exp(-gap / cont.d) + CHOL_JITTER * np.eye(m))
+        z = rng.standard_normal((n, m)) @ factor.T
+        noise = z / np.sqrt(rng.chisquare(1.0, size=n))[:, None]
+    expected = generate_curves(replace(model, contamination=None), n, GRID, seed)
+    expected[:, seg] = model_mean(model, points)[seg] + cont.scale * noise
+    assert generate_curves(model, n, GRID, seed).tobytes() == expected.tobytes()
 
 
 def test_gaussian_curves_have_exponential_correlation():
