@@ -14,8 +14,9 @@ scoring every column on every step.  Grid points nobody observes are
 flagged ``undefined`` and can be filled afterwards by linear interpolation.
 
 Array-level entry points (``solve_locations``) accept stacked value/mask
-arrays of shape (..., n, J) so bootstrap replicates can be fitted in batch;
-a large enough batch is split across the usable CPUs.
+arrays of shape (..., n, J) so bootstrap replicates can be fitted in batch.
+They run on the calling thread.  The batch drivers split their stacked fits
+across the usable CPUs once per ensemble or batch with :func:`_by_parts`.
 """
 
 from __future__ import annotations
@@ -146,8 +147,9 @@ def _fit_parts(values: np.ndarray) -> list[slice]:
     """Contiguous slices of the stacked fits in (k, ..., n, J) ``values``,
     one per thread that works on them: at most one per usable CPU, and each
     at least PART_MIN values.  Any thread but the main one gets a single
-    slice, because a solve there already runs inside its caller's parallel
-    work (``simulate --threads``, say); so do unstacked (n, J) values."""
+    slice, because its work already runs inside its caller's parallel work
+    (a study's repetitions on ``simulate --threads`` pool threads, say); so
+    do unstacked (n, J) values."""
     if values.ndim < 3 or threading.current_thread() is not threading.main_thread():
         return [slice(None)]
     k = values.shape[0]
@@ -156,18 +158,20 @@ def _fit_parts(values: np.ndarray) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def _by_parts(fn, values: np.ndarray) -> np.ndarray:
-    """``fn(fits)`` for each part ``fits`` of :func:`_fit_parts` of the
-    stacked ``values``, concatenated along the leading axis; the array of a
-    single part is returned as is.  The first part runs on this thread and
-    every other on a thread of its own.  Once every part has returned, the
-    error of the first part that failed reaches the caller."""
+def _by_parts(fn, values: np.ndarray) -> None:
+    """Call ``fn(fits)`` for each part ``fits`` of :func:`_fit_parts` of the
+    stacked ``values``.  The first part runs on this thread and every other
+    on a thread of its own.  Once every part has returned, the error of the
+    first part that failed reaches the caller."""
     parts = _fit_parts(values)
     if len(parts) == 1:
-        return fn(parts[0])
+        fn(parts[0])
+        return
     with ThreadPoolExecutor(len(parts) - 1) as pool:
         jobs = [pool.submit(fn, p) for p in parts[1:]]
-        return np.concatenate([fn(parts[0])] + [job.result() for job in jobs])
+        fn(parts[0])
+        for job in jobs:
+            job.result()
 
 
 class _RootProblem:
@@ -306,11 +310,11 @@ def solve_locations(values, mask, loss: LossSpec | ScaledHuber,
     ``values`` may be ``work.v0`` itself, zero at every unobserved entry,
     and then is not copied.  ``values`` and ``mask`` are never written.
 
-    Called on the main thread, stacked (k, ..., n, J) fits with huber or
-    smoothed-quantile losses are solved in contiguous parts, one thread each
-    (see :func:`_fit_parts`); a :class:`ScaledHuber`'s MAD sorts split the
-    same way.  Each fit's root reads only its own columns, so the result is
-    the same, bit for bit, at any thread count.
+    The solve runs on the calling thread.  Each stacked fit's root reads
+    only its own columns, so a fit gives the same bits in any stack, and
+    concurrent calls on disjoint workspaces give the same bits as serial
+    ones.  A root solve that fails raises :class:`NumericalError` whose
+    ``fit`` indexes the failing fit in ``values``' leading axes.
     """
     mask = np.asarray(mask, dtype=bool)
     values = np.asarray(values, dtype=float)
@@ -343,21 +347,14 @@ def solve_locations(values, mask, loss: LossSpec | ScaledHuber,
         theta0 = np.broadcast_to(theta0, fitted)
     if work is None:
         work = _Workspace.empty(values.shape)
-    # each fit's root reads only its own columns, so parts change no bit
-    return _by_parts(
-        lambda fits: _root_solve(values[fits], mask[fits], loss, c[fits] if np.ndim(c) else c,
-                                 None if theta0 is None else theta0[fits], work[fits],
-                                 fits.start or 0),
-        values)
+    return _root_solve(values, mask, loss, c, theta0, work)
 
 
-def _root_solve(values, mask, loss: LossSpec, c, theta0, work: _Workspace,
-                first: int = 0) -> np.ndarray:
+def _root_solve(values, mask, loss: LossSpec, c, theta0, work: _Workspace) -> np.ndarray:
     """The bracketed root solve of :func:`solve_locations` for a huber or
     smoothed-quantile loss, with ``c`` (its cutoff or half-width) and
-    ``theta0`` broadcast to the fitted shape.  ``first`` is the index of
-    the leading fit of ``values`` in the caller's stack; an error names the
-    failing fit by its index there."""
+    ``theta0`` broadcast to the fitted shape.  An error names the failing
+    fit by its index along the leading axes of ``values``."""
     n_eff = mask.sum(axis=-2)
     active = n_eff > 0
     lo = np.min(values, axis=-2, where=mask, initial=np.inf)
@@ -426,7 +423,7 @@ def _root_solve(values, mask, loss: LossSpec, c, theta0, work: _Workspace,
     bad = active & (np.abs(g) > tol_vec)
     if np.any(bad):
         key = tuple(int(i) for i in np.argwhere(bad)[0])
-        fit = (first + key[0], *key[1:-1]) if len(key) > 1 else None
+        fit = key[:-1] or None
         where = f" for fit {', '.join(map(str, fit))}" if fit else ""
         exc = NumericalError(f"root solve did not reach tolerance{where} at grid point "
                              f"{key[-1]} (|psi-sum|={abs(g[key]):.3e})")
@@ -506,19 +503,16 @@ def mad_cutoffs(values: np.ndarray, mask: np.ndarray, r: float, *,
     C_FLOOR, which no solve reads: such a point has no root, and a fit
     interpolates its location from the solved ones.  ``work``, a workspace
     of ``values``' shape, holds the sort scratch; by default it is allocated
-    per call.  ``values`` and ``mask`` are never written.
-
-    Stacked (k, ..., n, J) fits are sorted in contiguous parts on threads of
-    their own (see :func:`_fit_parts`); each fit's cutoffs read only its own
-    values, so they are the same bits at any thread count.
+    per call.  ``values`` and ``mask`` are never written.  The sorts run on
+    the calling thread; each stacked fit's cutoffs read only its own values,
+    so they are the same bits in any stack.
     """
     if not np.isfinite(r) or r <= 0:
         raise ValueError("scale factor r must be positive")
     values, mask = np.asarray(values), np.asarray(mask)
     if work is None:
         work = _Workspace.empty(values.shape)
-    mad = _by_parts(lambda fits: _mad(values[fits], mask[fits], work[fits]), values)
-    return np.fmax(r * mad, C_FLOOR)
+    return np.fmax(r * _mad(values, mask, work), C_FLOOR)
 
 
 def _mad(values, mask, work: _Workspace) -> np.ndarray:

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DataFormatError, Grid, integrate
-from .estimator import (MEstimate, NumericalError, _Workspace, fit, interpolate_rows,
-                        solve_locations)
+from .estimator import (MEstimate, NumericalError, _by_parts, _Workspace, fit,
+                        interpolate_rows, solve_locations)
 from .seeding import as_key, make_rng, substreams
 
 MIN_BOOTSTRAP = 100
-# replicates per solve_locations call in bootstrap_ensemble; the solve's
-# threads split a batch between them, so memory does not grow with the CPU count
+# replicates in bootstrap_ensemble's workspace; its threads split it between
+# them, so memory does not grow with the CPU count
 BOOTSTRAP_BATCH = 64
 # absolute accuracy of the Imhof integral: its double-exponential rule stops
 # once two successive levels differ by at most 0.01 TAIL_TOL
@@ -56,10 +56,16 @@ def quadratic_probe(points) -> np.ndarray:
 
 
 def step_probe(x0: float, grid: Grid) -> np.ndarray:
-    """Indicator 1{t >= x0}; x0 must be interior to (0, 1)."""
+    """Indicator 1{t >= x0}; x0 must be interior to (0, 1), and the step
+    must select some grid points but not all of them."""
     if not 0.0 < x0 < 1.0:
         raise DataFormatError(f"step location x0={x0:g} must lie strictly inside (0, 1)")
-    return (grid.points >= x0).astype(float)
+    step = grid.points >= x0
+    if step.all() or not step.any():
+        raise DataFormatError(
+            f"step location x0={x0:g} selects {'every' if step.all() else 'no'} point of "
+            f"the grid on [{grid.points[0]:g}, {grid.points[-1]:g}]")
+    return step.astype(float)
 
 
 def parse_probe(text: str, grid: Grid) -> tuple[str, np.ndarray]:
@@ -119,14 +125,17 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     start from the full-sample fit.  No resample observes a point where
     that fit is interpolated, so no solve reads the start there.
 
-    Every batch is gathered into, and solved in, one workspace allocated per
-    call; the last, shorter batch uses leading views of it.  The values are
-    gathered on the calling thread from a zero-filled copy straight into the
-    workspace's ``v0``, which the solve then reads in place.  Each batch's
-    MAD cutoffs and root solve split across the usable CPUs when the batch
-    is large enough (see :func:`solve_locations`); the result is the same,
-    bit for bit, at any thread count.  A root solve that fails is re-raised
-    naming the replicate."""
+    The ensemble allocates one workspace of BOOTSTRAP_BATCH replicates.
+    :func:`_by_parts` splits it into contiguous slices, one per thread, and
+    gives each thread a contiguous range of the B replicates, in proportion
+    to its slice.  Each thread gathers its range, in batches of its slice's
+    size, from a zero-filled copy of the values straight into its slice's
+    ``v0``, which the solve then reads in place, and takes each batch's MAD
+    cutoffs and root solve there; the last, shorter batch uses leading views
+    of the slice.  A replicate's fit reads only its own resample, so the
+    result is the same, bit for bit, at any thread count.  A root solve
+    that fails is re-raised naming the replicate by its index in the
+    ensemble."""
     if B < MIN_BOOTSTRAP:
         raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
     values = dataset.values
@@ -141,23 +150,29 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     # (square and quantile losses have closed forms and ignore the start)
     estimate = fit(dataset, loss)
     filled = np.where(mask, values, 0.0)
-    shape = (min(BOOTSTRAP_BATCH, B), n, J)
-    m_buf = np.empty(shape, dtype=bool)
-    w_buf = _Workspace.empty(shape)
-    for start in range(0, B, BOOTSTRAP_BATCH):
-        stop = min(start + BOOTSTRAP_BATCH, B)
-        k = stop - start
-        m, work = m_buf[:k], w_buf[:k]
-        # mode="clip" (the indices are in range) lets take write straight
-        # into v0 and m; the default mode="raise" gathers into a temporary
-        np.take(filled, idx[start:stop], axis=0, out=work.v0, mode="clip")
-        np.take(mask, idx[start:stop], axis=0, out=m, mode="clip")
-        try:
-            out[start:stop] = solve_locations(work.v0, m, loss, theta0=estimate.theta, work=work)
-        except NumericalError as exc:
-            if exc.fit is None:  # not a stacked root solve's error
-                raise
-            raise NumericalError(f"bootstrap replicate {start + exc.fit[0]}: {exc}") from exc
+    K = min(BOOTSTRAP_BATCH, B)
+    m_buf = np.empty((K, n, J), dtype=bool)
+    w_buf = _Workspace.empty((K, n, J))
+
+    def solve_share(part: slice) -> None:
+        lo, hi, _ = part.indices(K)
+        last = B * hi // K
+        for start in range(B * lo // K, last, hi - lo):
+            stop = min(start + hi - lo, last)
+            m, work = m_buf[lo:lo + stop - start], w_buf[lo:lo + stop - start]
+            # mode="clip" (the indices are in range) lets take write straight
+            # into v0 and m; the default mode="raise" gathers into a temporary
+            np.take(filled, idx[start:stop], axis=0, out=work.v0, mode="clip")
+            np.take(mask, idx[start:stop], axis=0, out=m, mode="clip")
+            try:
+                out[start:stop] = solve_locations(work.v0, m, loss, theta0=estimate.theta,
+                                                  work=work)
+            except NumericalError as exc:
+                if exc.fit is None:  # not a stacked root solve's error
+                    raise
+                raise NumericalError(f"bootstrap replicate {start + exc.fit[0]}: {exc}") from exc
+
+    _by_parts(solve_share, w_buf.v0)
     return BootstrapEnsemble(estimate, interpolate_rows(out, dataset.grid.points))
 
 
@@ -333,7 +348,9 @@ def trend_ci(dataset: Dataset, loss, probe, B: int, seed, alpha: float = 0.05,
 
     The coefficient is that of the full-sample fit, and the interval takes
     the alpha/2 and 1 - alpha/2 quantiles of the B bootstrap replicates'
-    coefficients; replicate b resamples on the substream (seed, b).
+    coefficients; replicate b resamples on the substream (seed, b).  Raises
+    NumericalError when all B replicate coefficients are equal: such an
+    interval is one point, and whether it excludes zero is rounding noise.
     """
     probe = np.asarray(probe, dtype=float)
     if probe.shape != dataset.grid.points.shape:
@@ -352,6 +369,10 @@ def _percentile_interval(ensemble: BootstrapEnsemble, probe: np.ndarray, alpha: 
     grid = ensemble.estimate.grid
     coefficient = integrate(ensemble.estimate.theta * probe, grid)
     coeffs = ensemble.replicates @ (grid.weights * probe)
+    if coeffs.min() == coeffs.max():
+        raise NumericalError(f"probe {name or '(unnamed)'}: all {coeffs.size} bootstrap "
+                             f"replicate coefficients equal {coeffs[0]:.6g}, so the "
+                             f"interval has no spread")
     lower, upper = np.quantile(coeffs, [alpha / 2.0, 1.0 - alpha / 2.0])
     return TrendCI(probe=name, coefficient=float(coefficient), lower=float(lower),
                    upper=float(upper), alpha=float(alpha), B=len(coeffs))

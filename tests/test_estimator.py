@@ -416,18 +416,16 @@ def test_workspace_holds_18_bytes_per_value():
     assert sum(a.nbytes for a in vars(work[:2]).values()) == 18 * 2 * 5 * 7
 
 
-def test_solve_in_workspace_values_equals_copying_path(rng, monkeypatch, restrict_widths):
+def test_solve_in_workspace_values_equals_copying_path(rng, restrict_widths):
     """Values gathered zero-filled into ``work.v0`` and passed as that very
-    buffer solve bit for bit as a copy of them does, split into parts, and
-    neither the buffer nor the mask is written."""
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(estimator, "PART_MIN", 1000)
+    buffer solve bit for bit as a copy of them does, and neither the buffer
+    nor the mask is written.  The drivers' tests cover the same path split
+    across threads."""
     B, n, J = 6, 40, 30
     values = rng.standard_t(2, size=(B, n, J))
     mask = rng.random((B, n, J)) < 0.7
     mask[..., 4] = False
     values[~mask] = np.nan
-    assert len(estimator._fit_parts(values)) == 3
     work = _Workspace.empty(values.shape)
     theta0 = rng.normal(scale=0.5, size=J)
     for loss in (huber(0.8), huber(rng.uniform(0.1, 2.0, size=(B, J))), ScaledHuber(2.0),
@@ -787,14 +785,11 @@ def test_fit_parts_split_stacked_fits_on_the_main_thread_only(monkeypatch):
 
 def test_stacked_root_solve_error_names_the_fit(rng, monkeypatch):
     """A stacked solve that fails names the failing fit by its index in the
-    whole stack, also when that fit sits in a part solved on another thread."""
+    stack; the drivers' tests cover a fit solved on another thread."""
     monkeypatch.setattr(estimator, "MAX_ITER", 1)
-    monkeypatch.setattr(estimator, "PART_MIN", 1)
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
     values = np.ones((3, 6, 4))  # equal values: fits 0 and 1 converge at once
     values[2] = rng.standard_normal((6, 4))
     mask = np.ones(values.shape, dtype=bool)
-    assert estimator._fit_parts(values) == [slice(0, 1), slice(1, 3)]
     with pytest.raises(NumericalError,
                        match=r"^root solve did not reach tolerance for fit 2 at grid point \d+ ") as err:
         solve_locations(values, mask, huber(0.8))

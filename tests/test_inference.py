@@ -1,6 +1,7 @@
 """Resampling, the chi-square mixture calibration, the L2 group test, and
 percentile intervals for probe coefficients."""
 
+import sys
 import threading
 
 import numpy as np
@@ -49,6 +50,17 @@ def test_step_probe_values():
         step_probe(0.0, grid)
     with pytest.raises(DataFormatError):
         step_probe(1.0, grid)
+    # a step that selects no point of the grid, or every one, is refused,
+    # naming x0 and the grid's span
+    inner = Grid.from_unit_points(np.linspace(0.1, 0.9, 9))
+    with pytest.raises(DataFormatError,
+                       match=r"x0=0\.95 selects no point of the grid on \[0\.1, 0\.9\]$"):
+        step_probe(0.95, inner)
+    for x0 in (0.05, 0.1):
+        with pytest.raises(DataFormatError,
+                           match=rf"x0={x0:g} selects every point of the grid on \[0\.1, 0\.9\]$"):
+            parse_probe(f"step:{x0:g}", inner)
+    np.testing.assert_array_equal(step_probe(0.9, inner), np.eye(9)[-1])
 
 
 def test_step_probe_coefficient_is_area():
@@ -129,12 +141,56 @@ def test_bootstrap_ensemble_deterministic(rng):
 
 
 def test_bootstrap_ensemble_batch_invariance(rng, monkeypatch):
-    """Chunk size is an implementation knob, not part of the estimand."""
+    """Chunk size and thread count are implementation knobs, not part of the
+    estimand: batches of 64 and 7, at 1 and 2 usable CPUs with parts of
+    any size, give the same bits.  So do 5 threads, more than the host's
+    cores, switching every 10 microseconds: the threads share the ensemble's
+    output and workspace, in disjoint slices."""
     ds = random_partial_dataset(rng, n=12, J=6)
-    a = bootstrap_ensemble(ds, huber(0.8), 130, 21)
-    monkeypatch.setattr(inference, "BOOTSTRAP_BATCH", 7)
-    b = bootstrap_ensemble(ds, huber(0.8), 130, 21)
-    np.testing.assert_allclose(a.replicates, b.replicates, atol=1e-9)
+    monkeypatch.setattr(estimator, "PART_MIN", 1)
+    interval = sys.getswitchinterval()
+    try:
+        for loss in (huber(0.8), ScaledHuber(3.0), smoothed_quantile(0.3, 0.1)):
+            expected = None
+            for batch, cpus in ((64, 1), (64, 2), (7, 1), (7, 2), (64, 5)):
+                monkeypatch.setattr(inference, "BOOTSTRAP_BATCH", batch)
+                monkeypatch.setattr(estimator, "_usable_cpus", lambda: cpus)
+                sys.setswitchinterval(1e-5 if cpus == 5 else interval)
+                got = bootstrap_ensemble(ds, loss, 130, 21).replicates
+                if expected is None:
+                    expected = got
+                np.testing.assert_array_equal(got, expected,
+                                              err_msg=f"{loss}, batch {batch}, {cpus} CPUs")
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_bootstrap_ensemble_starts_one_thread_per_extra_cpu(rng, monkeypatch, cpus):
+    """An ensemble splits across the CPUs once, not once per batch: 300
+    replicates in batches of at most 64 start cpus - 1 threads in all, and
+    the solves themselves start none."""
+    ds = random_partial_dataset(rng, n=12, J=6)
+    monkeypatch.setattr(estimator, "PART_MIN", 1)
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: cpus)
+    started, solved_on = [], set()
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    solve = inference.solve_locations
+
+    def spy(values, mask, loss, theta0=None, **kwargs):
+        solved_on.add(threading.current_thread())
+        return solve(values, mask, loss, theta0=theta0, **kwargs)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    monkeypatch.setattr(inference, "solve_locations", spy)
+    bootstrap_ensemble(ds, ScaledHuber(3.0), 300, 8)
+    assert len(started) == cpus - 1
+    assert solved_on == {threading.main_thread(), *started}
 
 
 @pytest.mark.parametrize("seed", [21, (4, 2**33, 1)])
@@ -165,13 +221,13 @@ def test_bootstrap_ensemble_draws_resample_curves(rng, monkeypatch, seed):
 def test_bootstrap_ensemble_equals_replicate_loop(rng, monkeypatch, loss):
     """Batches gathered and solved in shared buffers, the last batch a partial
     view of them, give the one-replicate-at-a-time fits bit for bit, with
-    each batch's fits split across 1, 2 and 3 threads.  B = 130 and B = 100
-    both leave a short last batch.  Sparse curves leave some grid points
-    unobserved in about a third of the resamples, so floored cutoffs and
-    interpolated locations are covered too."""
+    the ensemble split across 1, 2 and 3 threads.  B = 130 and B = 100 both
+    leave a short last batch on every thread.  Sparse curves leave some grid
+    points unobserved in about a third of the resamples, so floored cutoffs
+    and interpolated locations are covered too."""
     ds = random_partial_dataset(rng, n=12, J=6, missing=0.6)
     seed = 17
-    monkeypatch.setattr(estimator, "PART_MIN", 1)  # split these small batches too
+    monkeypatch.setattr(estimator, "PART_MIN", 1)  # split this small workspace too
 
     def concrete(values, mask):
         if isinstance(loss, ScaledHuber):
@@ -193,8 +249,9 @@ def test_bootstrap_ensemble_equals_replicate_loop(rng, monkeypatch, loss):
 
 
 def test_bootstrap_ensemble_thread_error_reaches_caller(rng, monkeypatch):
-    """A NumericalError in the part of a batch solved on another thread
-    reaches the caller unchanged."""
+    """A NumericalError that is not a stacked root solve's, raised in the
+    part of the ensemble solved on another thread, reaches the caller
+    unchanged."""
     ds = random_partial_dataset(rng, n=12, J=6)
     monkeypatch.setattr(estimator, "PART_MIN", 1)
     monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
@@ -208,6 +265,36 @@ def test_bootstrap_ensemble_thread_error_reaches_caller(rng, monkeypatch):
     monkeypatch.setattr(estimator, "_root_solve", failing)
     with pytest.raises(NumericalError, match="^root solve did not reach tolerance at grid point 3$"):
         bootstrap_ensemble(ds, huber(0.8), 130, 5)
+
+
+@pytest.mark.parametrize("target", [100, 129])
+def test_bootstrap_ensemble_thread_error_names_the_replicate(rng, monkeypatch, target):
+    """A root solve that fails on another thread names the replicate by its
+    index in the ensemble.  At 2 CPUs, replicates 65-129 are that thread's;
+    100 is inside its second batch and 129 is the last, in a short batch.
+    The failing fit is found by its values, so the test assumes no layout."""
+    ds = random_partial_dataset(rng, n=12, J=6)
+    monkeypatch.setattr(estimator, "PART_MIN", 1)
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+    boot = resample(ds, 5, target)
+    wanted = np.where(boot.mask, boot.values, 0.0)
+    solve = estimator._root_solve
+    failed_on = []
+
+    def failing(values, *args):
+        hit = [i for i, v in enumerate(values) if np.array_equal(v, wanted)]
+        if hit:
+            failed_on.append(threading.current_thread())
+            exc = NumericalError(f"root solve did not reach tolerance for fit {hit[0]} "
+                                 f"at grid point 0")
+            exc.fit = (hit[0],)
+            raise exc
+        return solve(values, *args)
+
+    monkeypatch.setattr(estimator, "_root_solve", failing)
+    with pytest.raises(NumericalError, match=rf"^bootstrap replicate {target}: root solve"):
+        bootstrap_ensemble(ds, huber(0.8), 130, 5)
+    assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()
 
 
 def test_bootstrap_ensemble_error_names_the_replicate(rng, monkeypatch):
@@ -580,6 +667,23 @@ def test_trend_ci_nesting_and_reuse(rng):
     assert wide.coefficient == narrow.coefficient
     direct = trend_ci(ds, huber(0.8), probe, B=150, seed=13, alpha=0.05, probe_name="quadratic")
     assert vars(direct) == vars(narrow)
+
+
+@pytest.mark.parametrize("loss", [quantile(0.5), huber(0.8)], ids=["median", "huber"])
+def test_trend_ci_rejects_replicates_without_spread(rng, loss):
+    """Constant curves make every replicate profile equal the fit, so all
+    replicate coefficients are equal and the interval is one point; whether
+    it excludes zero would rest on rounding.  The interval step raises,
+    naming the probe."""
+    grid = Grid.uniform(50)
+    mask = rng.random((30, 50)) < 0.8
+    mask[0] = True
+    ds = matrix_dataset(grid, np.full((30, 50), 3.0), mask)
+    for text in ("linear", "quadratic"):
+        name, probe = parse_probe(text, grid)
+        with pytest.raises(NumericalError, match=rf"^probe {text}: all 200 bootstrap "
+                                                 r"replicate coefficients equal "):
+            trend_ci(ds, loss, probe, B=200, seed=0, probe_name=name)
 
 
 def test_trend_ci_validations(rng):
