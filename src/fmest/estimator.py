@@ -15,8 +15,8 @@ flagged ``undefined`` and can be filled afterwards by linear interpolation.
 
 Array-level entry points (``solve_locations``) accept stacked value/mask
 arrays of shape (..., n, J) so bootstrap replicates can be fitted in batch.
-They run on the calling thread.  The batch drivers split their stacked fits
-across the usable CPUs once per ensemble or batch with :func:`_by_parts`.
+They run on the calling thread.  A bootstrap ensemble splits its replicates
+across the usable CPUs once, with :func:`_by_parts`.
 """
 
 from __future__ import annotations
@@ -281,12 +281,14 @@ def _flat_fixup(theta, values, mask, flat, c):
     return theta
 
 
-def _resolve_loss(loss, values, mask, work: _Workspace | None = None) -> LossSpec:
+def _resolve_loss(loss, values, mask, work: _Workspace | None = None,
+                  cutoffs=None) -> LossSpec:
     """The :class:`LossSpec` that ``loss`` stands for on these values: a
-    :class:`ScaledHuber` becomes the huber loss with their :func:`mad_cutoffs`.
-    Raises TypeError for anything that is not a loss."""
+    :class:`ScaledHuber` becomes the huber loss with their MAD cutoffs,
+    taken by ``cutoffs`` (by default :func:`mad_cutoffs`).  Raises
+    TypeError for anything that is not a loss."""
     if isinstance(loss, ScaledHuber):
-        return huber(mad_cutoffs(values, mask, loss.r, work=work))
+        return huber((cutoffs or mad_cutoffs)(values, mask, loss.r, work=work))
     if not isinstance(loss, LossSpec):
         raise TypeError(f"not a loss: {loss!r}")
     return loss
@@ -316,13 +318,22 @@ def solve_locations(values, mask, loss: LossSpec | ScaledHuber,
     ones.  A root solve that fails raises :class:`NumericalError` whose
     ``fit`` indexes the failing fit in ``values``' leading axes.
     """
+    return _solve_locations(values, mask, loss, theta0, work)
+
+
+def _solve_locations(values, mask, loss, theta0, work, cutoffs=None) -> np.ndarray:
+    """The body of :func:`solve_locations`; ``cutoffs`` takes a
+    :class:`ScaledHuber`'s cutoffs (see :func:`_resolve_loss`).  The threads
+    a bootstrap ensemble starts call it with :func:`_mad_cutoffs`, so only
+    the calling thread enters the public functions: the benchmark's tracer
+    (fmbench/spans.py) rebinds those and keeps one span stack."""
     mask = np.asarray(mask, dtype=bool)
     values = np.asarray(values, dtype=float)
     if values.shape != mask.shape or values.ndim < 2:
         raise DataFormatError("values/mask must share a (..., n, J) shape")
     if isinstance(loss, ScaledHuber) and work is None:
         work = _Workspace.empty(values.shape)  # shared by the MAD sorts and the root solve
-    loss = _resolve_loss(loss, values, mask, work)
+    loss = _resolve_loss(loss, values, mask, work, cutoffs)
 
     if loss.kind == "square":
         n_eff = mask.sum(axis=-2)
@@ -507,6 +518,11 @@ def mad_cutoffs(values: np.ndarray, mask: np.ndarray, r: float, *,
     the calling thread; each stacked fit's cutoffs read only its own values,
     so they are the same bits in any stack.
     """
+    return _mad_cutoffs(values, mask, r, work=work)
+
+
+def _mad_cutoffs(values, mask, r: float, *, work: _Workspace | None = None) -> np.ndarray:
+    """The body of :func:`mad_cutoffs` (see :func:`_solve_locations`)."""
     if not np.isfinite(r) or r <= 0:
         raise ValueError("scale factor r must be positive")
     values, mask = np.asarray(values), np.asarray(mask)

@@ -10,13 +10,15 @@ is a percentile bootstrap for one linear functional of the location curve.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .data import Dataset, DataFormatError, Grid, integrate
-from .estimator import (MEstimate, NumericalError, _by_parts, _Workspace, fit,
-                        interpolate_rows, solve_locations)
+from .estimator import (MEstimate, NumericalError, _by_parts, _mad_cutoffs, _solve_locations,
+                        _Workspace, fit, interpolate_rows, solve_locations)
 from .seeding import as_key, make_rng, substreams
 
 MIN_BOOTSTRAP = 100
@@ -132,10 +134,12 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     size, from a zero-filled copy of the values straight into its slice's
     ``v0``, which the solve then reads in place, and takes each batch's MAD
     cutoffs and root solve there; the last, shorter batch uses leading views
-    of the slice.  A replicate's fit reads only its own resample, so the
-    result is the same, bit for bit, at any thread count.  A root solve
-    that fails is re-raised naming the replicate by its index in the
-    ensemble."""
+    of the slice.  The calling thread solves through :func:`solve_locations`
+    and the threads it starts through its private body, so the public
+    functions are never entered off the calling thread.  A replicate's fit
+    reads only its own resample, so the result is the same, bit for bit, at
+    any thread count.  A root solve that fails is re-raised naming the
+    replicate by its index in the ensemble."""
     if B < MIN_BOOTSTRAP:
         raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
     values = dataset.values
@@ -153,8 +157,13 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     K = min(BOOTSTRAP_BATCH, B)
     m_buf = np.empty((K, n, J), dtype=bool)
     w_buf = _Workspace.empty((K, n, J))
+    caller = threading.current_thread()
 
     def solve_share(part: slice) -> None:
+        # only the calling thread enters the public solve_locations and
+        # mad_cutoffs, which the benchmark traces on one span stack
+        solve = solve_locations if threading.current_thread() is caller \
+            else partial(_solve_locations, cutoffs=_mad_cutoffs)
         lo, hi, _ = part.indices(K)
         last = B * hi // K
         for start in range(B * lo // K, last, hi - lo):
@@ -165,8 +174,7 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
             np.take(filled, idx[start:stop], axis=0, out=work.v0, mode="clip")
             np.take(mask, idx[start:stop], axis=0, out=m, mode="clip")
             try:
-                out[start:stop] = solve_locations(work.v0, m, loss, theta0=estimate.theta,
-                                                  work=work)
+                out[start:stop] = solve(work.v0, m, loss, theta0=estimate.theta, work=work)
             except NumericalError as exc:
                 if exc.fit is None:  # not a stacked root solve's error
                     raise

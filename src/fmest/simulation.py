@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, DataFormatError, Grid, _restrict_grid, integrate, matrix_dataset
-from .estimator import NumericalError, _by_parts, _Workspace, interpolate_rows, solve_locations
+from .estimator import NumericalError, _Workspace, interpolate_rows, solve_locations
 from .inference import _percentile_interval, anova_l2_test, bootstrap_ensemble, parse_probe
 from .losses import parse_loss
 from .sampling import MissingScheme, generate_masks, parse_scheme
@@ -344,13 +344,11 @@ def run_ise_study(config: ScenarioConfig) -> list[dict]:
     this thread straight into one stacked (k, n, J) mask buffer and the
     values buffer ``v0`` of the solver's workspace, both allocated once per
     study, with zeros at unobserved entries; curves the trim drops leave
-    unobserved rows at the end.  :func:`_by_parts` splits each batch once
-    into contiguous parts, one per thread, and each thread fits its part
-    under every loss, one :func:`solve_locations` call per loss.  A fit
-    reads only its own repetition's rows, so every ISE equals that of
-    fitting the repetition alone, bit for bit, at any thread count.
-    ``config.threads`` does not apply: the draws hold the interpreter lock,
-    so pool threads only slowed them down.
+    unobserved rows at the end.  Each loss fits a batch in one
+    :func:`solve_locations` call.  A fit reads only its own repetition's
+    rows, so every ISE equals that of fitting the repetition alone, bit for
+    bit.  ``config.threads`` does not apply: the draws hold the interpreter
+    lock, so pool threads only slowed them down.
     """
     grid = Grid.uniform(config.grid_size)
     losses = [(text, parse_loss(text)) for text in config.losses]
@@ -372,18 +370,12 @@ def run_ise_study(config: ScenarioConfig) -> list[dict]:
             np.copyto(v[i, :len(values)], values, where=mask)
             m[i, :len(mask)] = mask
             m[i, len(mask):] = False
-
-        def solve_part(fits: slice) -> None:
-            first = start + fits.indices(stop - start)[0]
-            for text, choice in losses:
-                try:
-                    theta[text][start:stop][fits] = solve_locations(v[fits], m[fits], choice,
-                                                                    work=work[fits])
-                except NumericalError as exc:
-                    raise NumericalError(f"repetition {first + exc.fit[0]}, loss {text}: "
-                                         f"{exc}") from exc
-
-        _by_parts(solve_part, v)
+        for text, choice in losses:
+            try:
+                theta[text][start:stop] = solve_locations(v, m, choice, work=work)
+            except NumericalError as exc:
+                raise NumericalError(f"repetition {start + exc.fit[0]}, loss {text}: "
+                                     f"{exc}") from exc
     mu = model_mean(config.model, points)
     name = config.model_name or config.model.mean_kind
     rows = []

@@ -3,10 +3,16 @@
 import importlib
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
+
 import fmest
+from conftest import random_partial_dataset
+from fmest import estimator, inference
 from fmest.cli import build_parser
+from fmest.losses import ScaledHuber
 from fmest.simulation import read_scenario_config
 
 FMBENCH = Path(__file__).resolve().parents[1] / "fmbench"
@@ -49,3 +55,41 @@ def test_every_workload_command_line_parses(monkeypatch, tmp_path):
         args = build_parser().parse_args(workload.prepare(fmest, work, 1, workloads.SMALL).argv)
         if args.command == "simulate":
             read_scenario_config(args.config)
+
+
+def test_split_ensemble_spans_nest_on_the_calling_thread(monkeypatch):
+    """The tracer keeps one span stack, so traced layers must be entered on
+    the thread that runs the traced call.  An ensemble split across 2 CPUs
+    starts a thread, yet enters every traced layer on the main thread; its
+    spans nest, with no negative self time, and sum to the root span."""
+    spans = _load(monkeypatch, "spans")
+    monkeypatch.setattr(estimator, "PART_MIN", 1)
+    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+    tracer = spans.Tracer()
+    wrap, entered, started = tracer.wrap, [], []
+
+    def recording_wrap(name, fn, work=None):
+        traced = wrap(name, fn, work)
+
+        def entry(*args, **kwargs):
+            entered.append((name, threading.current_thread()))
+            return traced(*args, **kwargs)
+
+        return entry
+
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(tracer, "wrap", recording_wrap)
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    ds = random_partial_dataset(np.random.default_rng(3), n=12, J=6)
+    with tracer.tracing():
+        wrap(spans.ROOT, lambda: inference.bootstrap_ensemble(ds, ScaledHuber(3.0), 300, 8))()
+    assert len(started) == 1
+    assert {"estimator.solve_locations", "estimator.mad_cutoffs"} <= {n for n, _ in entered}
+    assert {t for _, t in entered} == {threading.main_thread()}
+    assert min(spans.self_times(tracer.spans)) >= 0
+    assert spans.accounting_errors(tracer.spans) == []

@@ -169,28 +169,36 @@ def test_bootstrap_ensemble_batch_invariance(rng, monkeypatch):
 def test_bootstrap_ensemble_starts_one_thread_per_extra_cpu(rng, monkeypatch, cpus):
     """An ensemble splits across the CPUs once, not once per batch: 300
     replicates in batches of at most 64 start cpus - 1 threads in all, and
-    the solves themselves start none."""
+    the solves themselves start none.  Every thread solves, but only the
+    calling one enters the public solve_locations and mad_cutoffs."""
     ds = random_partial_dataset(rng, n=12, J=6)
     monkeypatch.setattr(estimator, "PART_MIN", 1)
     monkeypatch.setattr(estimator, "_usable_cpus", lambda: cpus)
-    started, solved_on = [], set()
+    started, entered = [], {}
     start = threading.Thread.start
 
     def counting_start(thread):
         started.append(thread)
         return start(thread)
 
-    solve = inference.solve_locations
+    def spy_on(module, name):
+        fn = getattr(module, name)
 
-    def spy(values, mask, loss, theta0=None, **kwargs):
-        solved_on.add(threading.current_thread())
-        return solve(values, mask, loss, theta0=theta0, **kwargs)
+        def spy(*args, **kwargs):
+            entered.setdefault(name, set()).add(threading.current_thread())
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
 
     monkeypatch.setattr(threading.Thread, "start", counting_start)
-    monkeypatch.setattr(inference, "solve_locations", spy)
+    spy_on(inference, "solve_locations")
+    spy_on(estimator, "mad_cutoffs")
+    spy_on(estimator, "_root_solve")
     bootstrap_ensemble(ds, ScaledHuber(3.0), 300, 8)
     assert len(started) == cpus - 1
-    assert solved_on == {threading.main_thread(), *started}
+    main = threading.main_thread()
+    assert entered == {"solve_locations": {main}, "mad_cutoffs": {main},
+                       "_root_solve": {main, *started}}
 
 
 @pytest.mark.parametrize("seed", [21, (4, 2**33, 1)])

@@ -245,10 +245,9 @@ ALL_LOSSES = ("square", "huber:0.8", "huber-scaled:3", "quantile:0.5", "quantile
                                          ("random-interval:0.3,0.3", 0.05)])
 def test_run_ise_study_equals_repetition_loop(scheme, trim, monkeypatch):
     """Every ISE of the batched study equals, bit for bit, that of fitting
-    its repetition alone, at 1 and 3 threads, and with each batch split
-    across 2 and 3 CPUs; 37 repetitions fill a batch of 36 or 24 and a last
-    one of 1 or 13, and under the snippet scheme the trim drops curves, so
-    batches carry unobserved padding rows."""
+    its repetition alone, at 1 and 3 threads; 37 repetitions fill a batch
+    of 36 or 24 and a last one of 1 or 13, and under the snippet scheme the
+    trim drops curves, so batches carry unobserved padding rows."""
     cfg = dict(model=model_preset("model3"), scheme=parse_scheme(scheme, trim), n=30,
                grid_size=100, losses=ALL_LOSSES, repetitions=37, seed=9, model_name="m3")
     grid = Grid.uniform(100)
@@ -271,9 +270,7 @@ def test_run_ise_study_equals_repetition_loop(scheme, trim, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(simulation, "ise", spy)
-    monkeypatch.setattr(estimator, "PART_MIN", 1)  # split these small batches
-    for threads, cpus in ((1, 1), (3, 1), (1, 2), (1, 3)):
-        monkeypatch.setattr(estimator, "_usable_cpus", lambda: cpus)
+    for threads in (1, 3):
         seen.clear()
         assert run_ise_study(ScenarioConfig(threads=threads, **cfg)) == expected
         assert seen == [x for text in ALL_LOSSES for x in loop[text]]
@@ -353,36 +350,6 @@ def test_run_ise_study_error_names_repetition_and_loss(monkeypatch):
     with pytest.raises(NumericalError, match=r"^repetition 0, loss huber:0\.8: root solve did "
                                              r"not reach tolerance for fit 0 at grid point \d+ "):
         run_ise_study(cfg)
-
-
-def test_run_ise_study_thread_error_names_repetition_and_loss(monkeypatch):
-    """A root solve that fails in the part of a batch fitted on another
-    thread names the repetition by its index in the study.  At 2 CPUs the
-    single batch of 5 repetitions splits into 0-1 and 2-4; repetition 3 is
-    found by its mask, so the test assumes no layout."""
-    monkeypatch.setattr(estimator, "PART_MIN", 1)
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
-    cfg = ScenarioConfig(model=model_preset("model1"), scheme=random_interval(), n=20,
-                         grid_size=30, losses=("square", "huber:0.8"), repetitions=5, seed=1)
-    wanted = simulation._draw_arrays(cfg, Grid.uniform(30), None, (1, 3))[1]
-    solve = estimator._root_solve
-    failed_on = []
-
-    def failing(values, mask, *args):
-        hit = [i for i, m in enumerate(mask) if np.array_equal(m, wanted)]
-        if hit:
-            failed_on.append(threading.current_thread())
-            exc = NumericalError(f"root solve did not reach tolerance for fit {hit[0]} "
-                                 f"at grid point 0")
-            exc.fit = (hit[0],)
-            raise exc
-        return solve(values, mask, *args)
-
-    monkeypatch.setattr(estimator, "_root_solve", failing)
-    with pytest.raises(NumericalError, match=r"^repetition 3, loss huber:0\.8: root solve did "
-                                             r"not reach tolerance for fit 1 "):
-        run_ise_study(cfg)
-    assert len(failed_on) == 1 and failed_on[0] is not threading.main_thread()
 
 
 def test_study_solves_stay_on_their_repetition_thread(monkeypatch):
