@@ -213,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_tr.add_argument("--data", required=True)
     p_tr.add_argument("--loss", default="huber:0.8")
     p_tr.add_argument("--probe", required=True,
-                      help="constant | linear | quadratic | step:<x0>")
+                      help="constant | linear | quadratic | step:<x0>, x0 in the data's "
+                      "t units")
     p_tr.add_argument("--B", type=int, default=3000)
     p_tr.add_argument("--alpha", type=float, default=0.05)
     p_tr.add_argument("--seed", type=int, required=True)

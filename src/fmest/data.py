@@ -182,7 +182,7 @@ class Dataset:
         if bad.any():
             i, j = np.argwhere(bad)[0]
             raise DataFormatError(f"curve {ids[i]!r} has non-finite observed values "
-                                  f"at grid point {j} (t={grid.points[j]:g})")
+                                  f"at grid point {j} (t={grid.source_points[j]:g})")
         if len(set(ids)) != n:
             seen = set()
             dup = next(i for i in ids if i in seen or seen.add(i))
@@ -232,7 +232,7 @@ def integrate(f, grid: Grid) -> float:
         raise DataFormatError("integrand not aligned with grid")
     if not np.all(np.isfinite(f)):
         j = int(np.flatnonzero(~np.isfinite(f))[0])
-        raise DataFormatError(f"non-finite integrand at grid point {j} (t={grid.points[j]:g})")
+        raise DataFormatError(f"non-finite integrand at grid point {j} (t={grid.source_points[j]:g})")
     return float(np.dot(grid.weights, f))
 
 

@@ -15,15 +15,12 @@ flagged ``undefined`` and can be filled afterwards by linear interpolation.
 
 Array-level entry points (``solve_locations``) accept stacked value/mask
 arrays of shape (..., n, J) so bootstrap replicates can be fitted in batch.
-They run on the calling thread.  A bootstrap ensemble splits its replicates
-across the usable CPUs once, with :func:`_by_parts`.
+Everything here runs on the calling thread; the one thread split of a fit
+is the bootstrap ensemble's (:func:`fmest.inference.bootstrap_ensemble`).
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,20 +41,26 @@ C_FLOOR = 1e-6
 # every later score call: a gather's fixed numpy overhead is about that of
 # scoring 10,000 entries (2-core x86_64 host).
 GATHER_MIN = 2048
-# Stacked fits split across threads only in parts of at least this many
-# (fit, curve, grid point) values.  On a 2-core x86_64 host, parts of 256,000
-# (32 fits of 80 curves on 100 points) cut trend-scaled's call time by about
-# 25%; parts of 128,000 (40 curves) made a loop of c7's test body 18% slower.
-PART_MIN = 200_000
 
 
 class NumericalError(RuntimeError):
     """A solver or denominator failed numerically.
 
-    ``fit``, set by a stacked root solve, is the index of the failing fit
-    along the leading axes of its values; otherwise it is None."""
+    A root solve sets ``fit``, the index of the failing fit along the
+    leading axes of its values (None when they have none), and ``point``,
+    the failing grid point's index; other errors leave both None."""
 
     fit = None
+    point = None
+
+
+def _at_source_t(exc: NumericalError, grid: Grid) -> str:
+    """The message of a root solve's ``exc`` with the failing point's t in
+    ``grid``'s source coordinates next to its index."""
+    if exc.point is None:
+        return str(exc)
+    at = f"at grid point {exc.point} ("
+    return str(exc).replace(at, f"{at}t={grid.source_points[exc.point]:g}, ", 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,45 +136,6 @@ class _Workspace:
     def __getitem__(self, part: slice) -> "_Workspace":
         """Views of the entries ``part`` along the leading axis."""
         return _Workspace(**{name: a[part] for name, a in vars(self).items()})
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity on this platform
-        return os.cpu_count() or 1
-
-
-def _fit_parts(values: np.ndarray) -> list[slice]:
-    """Contiguous slices of the stacked fits in (k, ..., n, J) ``values``,
-    one per thread that works on them: at most one per usable CPU, and each
-    at least PART_MIN values.  Any thread but the main one gets a single
-    slice, because its work already runs inside its caller's parallel work
-    (a study's repetitions on ``simulate --threads`` pool threads, say); so
-    do unstacked (n, J) values."""
-    if values.ndim < 3 or threading.current_thread() is not threading.main_thread():
-        return [slice(None)]
-    k = values.shape[0]
-    threads = max(1, min(_usable_cpus(), k, values.size // PART_MIN))
-    bounds = [k * i // threads for i in range(threads + 1)]
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _by_parts(fn, values: np.ndarray) -> None:
-    """Call ``fn(fits)`` for each part ``fits`` of :func:`_fit_parts` of the
-    stacked ``values``.  The first part runs on this thread and every other
-    on a thread of its own.  Once every part has returned, the error of the
-    first part that failed reaches the caller."""
-    parts = _fit_parts(values)
-    if len(parts) == 1:
-        fn(parts[0])
-        return
-    with ThreadPoolExecutor(len(parts) - 1) as pool:
-        jobs = [pool.submit(fn, p) for p in parts[1:]]
-        fn(parts[0])
-        for job in jobs:
-            job.result()
 
 
 class _RootProblem:
@@ -438,7 +402,7 @@ def _root_solve(values, mask, loss: LossSpec, c, theta0, work: _Workspace) -> np
         where = f" for fit {', '.join(map(str, fit))}" if fit else ""
         exc = NumericalError(f"root solve did not reach tolerance{where} at grid point "
                              f"{key[-1]} (|psi-sum|={abs(g[key]):.3e})")
-        exc.fit = fit
+        exc.fit, exc.point = fit, key[-1]
         raise exc
 
     flat = active & (s == 0)
@@ -478,7 +442,10 @@ def fit_marginal(dataset: Dataset, loss: LossSpec | ScaledHuber) -> MEstimate:
     n_eff = dataset.mask.sum(axis=0)
     if not np.any(n_eff > 0):
         raise NumericalError("every grid point is unobserved")
-    theta = solve_locations(dataset.values, dataset.mask, loss)
+    try:
+        theta = solve_locations(dataset.values, dataset.mask, loss)
+    except NumericalError as exc:
+        raise NumericalError(_at_source_t(exc, dataset.grid)) from exc
     status = np.where(n_eff > 0, STATUS_SOLVED, STATUS_UNDEFINED).astype(object)
     return MEstimate(dataset.grid, theta, n_eff.astype(int), status)
 
@@ -522,20 +489,15 @@ def mad_cutoffs(values: np.ndarray, mask: np.ndarray, r: float, *,
 
 
 def _mad_cutoffs(values, mask, r: float, *, work: _Workspace | None = None) -> np.ndarray:
-    """The body of :func:`mad_cutoffs` (see :func:`_solve_locations`)."""
+    """The body of :func:`mad_cutoffs` (see :func:`_solve_locations`).  The
+    median sorts each column into ``work.r``; |x - med| then overwrites
+    those sorted values, +inf fills the entries past each column's observed
+    count, and a second in-place sort gives the deviations' median."""
     if not np.isfinite(r) or r <= 0:
         raise ValueError("scale factor r must be positive")
     values, mask = np.asarray(values), np.asarray(mask)
     if work is None:
         work = _Workspace.empty(values.shape)
-    return np.fmax(r * _mad(values, mask, work), C_FLOOR)
-
-
-def _mad(values, mask, work: _Workspace) -> np.ndarray:
-    """Raw MAD along the curve axis.  The median sorts each column into
-    ``work.r``; |x - med| then overwrites those sorted values, +inf fills
-    the entries past each column's observed count, and a second in-place
-    sort gives the deviations' median."""
     med = _quantile_locations(values, mask, 0.5, scratch=work.r)
     dev = np.subtract(work.r, med[..., None, :], out=work.r)
     np.abs(dev, out=dev)
@@ -544,7 +506,7 @@ def _mad(values, mask, work: _Workspace) -> np.ndarray:
                                   out=work.hit)
     np.copyto(dev, np.inf, where=unobserved)
     dev.sort(axis=-2)
-    return _sorted_quantile(dev, m, 0.5)
+    return np.fmax(r * _sorted_quantile(dev, m, 0.5), C_FLOOR)
 
 
 def influence_function(dataset: Dataset, loss: LossSpec | ScaledHuber, theta_hat: np.ndarray,
@@ -578,7 +540,7 @@ def influence_function(dataset: Dataset, loss: LossSpec | ScaledHuber, theta_hat
         j = int(np.flatnonzero(low)[0])
         raise NumericalError(
             f"estimating-equation denominator D(t)={d[j]:.3e} at grid point {j} "
-            f"(t={dataset.grid.points[j]:g}) is at or below {D_FLOOR:g}"
+            f"(t={dataset.grid.source_points[j]:g}) is at or below {D_FLOOR:g}"
         )
     y_res = np.where(y_star.mask, y_star.values, theta_hat) - theta_hat
     return np.where(y_star.mask, loss_psi(loss, y_res), 0.0) / d

@@ -10,14 +10,16 @@ is a percentile bootstrap for one linear functional of the location curve.
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .data import Dataset, DataFormatError, Grid, integrate
-from .estimator import (MEstimate, NumericalError, _by_parts, _mad_cutoffs, _solve_locations,
+from .estimator import (MEstimate, NumericalError, _at_source_t, _mad_cutoffs, _solve_locations,
                         _Workspace, fit, interpolate_rows, solve_locations)
 from .seeding import as_key, make_rng, substreams
 
@@ -25,6 +27,12 @@ MIN_BOOTSTRAP = 100
 # replicates in bootstrap_ensemble's workspace; its threads split it between
 # them, so memory does not grow with the CPU count
 BOOTSTRAP_BATCH = 64
+# The ensemble splits its workspace across threads only in slices of at
+# least this many (replicate, curve, grid point) values.  On a 2-core x86_64
+# host, slices of 256,000 (32 replicates of 80 curves on 100 points) cut
+# trend-scaled's call time by about 25%; slices of 128,000 (40 curves) made a
+# loop of c7's test body 18% slower.
+PART_MIN = 200_000
 # absolute accuracy of the Imhof integral: its double-exponential rule stops
 # once two successive levels differ by at most 0.01 TAIL_TOL
 TAIL_TOL = 1e-9
@@ -58,20 +66,25 @@ def quadratic_probe(points) -> np.ndarray:
 
 
 def step_probe(x0: float, grid: Grid) -> np.ndarray:
-    """Indicator 1{t >= x0}; x0 must be interior to (0, 1), and the step
+    """Indicator 1{t >= x0}, with x0 and t in the grid's source coordinates.
+    x0 must lie strictly inside the grid's source interval, and the step
     must select some grid points but not all of them."""
-    if not 0.0 < x0 < 1.0:
-        raise DataFormatError(f"step location x0={x0:g} must lie strictly inside (0, 1)")
-    step = grid.points >= x0
+    # the grid's own source-to-unit map, so a t of the data file lands on its point
+    u0 = (x0 - grid.offset) / grid.scale
+    if not 0.0 < u0 < 1.0:
+        raise DataFormatError(f"step location x0={x0:g} must lie strictly inside "
+                              f"({grid.offset:g}, {grid.offset + grid.scale:g})")
+    step = grid.points >= u0
     if step.all() or not step.any():
         raise DataFormatError(
             f"step location x0={x0:g} selects {'every' if step.all() else 'no'} point of "
-            f"the grid on [{grid.points[0]:g}, {grid.points[-1]:g}]")
+            f"the grid on [{grid.source_points[0]:g}, {grid.source_points[-1]:g}]")
     return step.astype(float)
 
 
 def parse_probe(text: str, grid: Grid) -> tuple[str, np.ndarray]:
-    """Parse ``constant | linear | quadratic | step:<x0>`` to (name, values)."""
+    """Parse ``constant | linear | quadratic | step:<x0>`` to (name, values);
+    x0 is in the grid's source coordinates (see :func:`step_probe`)."""
     text = text.strip()
     if text == "constant":
         return text, constant_probe(grid.points)
@@ -85,7 +98,7 @@ def parse_probe(text: str, grid: Grid) -> tuple[str, np.ndarray]:
             x0 = float(arg)
         except ValueError:
             raise DataFormatError(f"bad step probe {text!r}") from None
-        return f"step:{x0:g}", step_probe(x0, grid)
+        return f"step:{x0:.12g}", step_probe(x0, grid)
     raise DataFormatError(
         f"unknown probe {text!r} (constant | linear | quadratic | step:<x0>)"
     )
@@ -119,6 +132,14 @@ class BootstrapEnsemble:
     replicates: np.ndarray
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsemble:
     """Fit the location on the dataset itself (:func:`fit`) and on B
     whole-curve resamples (replicate b uses the substream (seed, b)).
@@ -127,19 +148,22 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     start from the full-sample fit.  No resample observes a point where
     that fit is interpolated, so no solve reads the start there.
 
-    The ensemble allocates one workspace of BOOTSTRAP_BATCH replicates.
-    :func:`_by_parts` splits it into contiguous slices, one per thread, and
-    gives each thread a contiguous range of the B replicates, in proportion
-    to its slice.  Each thread gathers its range, in batches of its slice's
-    size, from a zero-filled copy of the values straight into its slice's
-    ``v0``, which the solve then reads in place, and takes each batch's MAD
-    cutoffs and root solve there; the last, shorter batch uses leading views
-    of the slice.  The calling thread solves through :func:`solve_locations`
-    and the threads it starts through its private body, so the public
-    functions are never entered off the calling thread.  A replicate's fit
-    reads only its own resample, so the result is the same, bit for bit, at
-    any thread count.  A root solve that fails is re-raised naming the
-    replicate by its index in the ensemble."""
+    The ensemble allocates one workspace of K = min(BOOTSTRAP_BATCH, B)
+    replicates and cuts it into contiguous slices, one per thread: on the
+    main thread min(usable CPUs, K, K n J // PART_MIN), at least one; on any
+    other thread one, as its caller's parallel work (a study's repetitions,
+    say) already runs there.  Slice lo:hi takes the replicates B lo // K to
+    B hi // K and gathers them, in batches of its size, from a zero-filled
+    copy of the values straight into its ``v0``, which the solve reads in
+    place, and takes each batch's MAD cutoffs and root solve there; the
+    last, shorter batch uses leading views of the slice.  Slice 0 runs on
+    the calling thread through :func:`solve_locations`, every other slice on
+    a thread of its own through its private body, so the public functions
+    are never entered off the calling thread.  A replicate's fit reads only
+    its own resample, so the result is the same, bit for bit, at any thread
+    count.  A root solve that fails is re-raised naming the replicate by its
+    index in the ensemble; once every slice has returned, the first failed
+    slice's error reaches the caller."""
     if B < MIN_BOOTSTRAP:
         raise DataFormatError(f"B={B} too small, need at least {MIN_BOOTSTRAP}")
     values = dataset.values
@@ -157,14 +181,13 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
     K = min(BOOTSTRAP_BATCH, B)
     m_buf = np.empty((K, n, J), dtype=bool)
     w_buf = _Workspace.empty((K, n, J))
-    caller = threading.current_thread()
+    on_main = threading.current_thread() is threading.main_thread()
+    threads = max(1, min(_usable_cpus(), K, K * n * J // PART_MIN)) if on_main else 1
 
-    def solve_share(part: slice) -> None:
-        # only the calling thread enters the public solve_locations and
-        # mad_cutoffs, which the benchmark traces on one span stack
-        solve = solve_locations if threading.current_thread() is caller \
-            else partial(_solve_locations, cutoffs=_mad_cutoffs)
-        lo, hi, _ = part.indices(K)
+    def solve_slice(lo: int, hi: int) -> None:
+        # only the calling thread (slice 0's) enters the public solve_locations
+        # and mad_cutoffs, which the benchmark traces on one span stack
+        solve = solve_locations if lo == 0 else partial(_solve_locations, cutoffs=_mad_cutoffs)
         last = B * hi // K
         for start in range(B * lo // K, last, hi - lo):
             stop = min(start + hi - lo, last)
@@ -178,9 +201,18 @@ def bootstrap_ensemble(dataset: Dataset, loss, B: int, seed) -> BootstrapEnsembl
             except NumericalError as exc:
                 if exc.fit is None:  # not a stacked root solve's error
                     raise
-                raise NumericalError(f"bootstrap replicate {start + exc.fit[0]}: {exc}") from exc
+                raise NumericalError(f"bootstrap replicate {start + exc.fit[0]}: "
+                                     f"{_at_source_t(exc, dataset.grid)}") from exc
 
-    _by_parts(solve_share, w_buf.v0)
+    if threads == 1:
+        solve_slice(0, K)
+    else:
+        with ThreadPoolExecutor(threads - 1) as pool:
+            jobs = [pool.submit(solve_slice, K * i // threads, K * (i + 1) // threads)
+                    for i in range(1, threads)]
+            solve_slice(0, K // threads)
+            for job in jobs:
+                job.result()
     return BootstrapEnsemble(estimate, interpolate_rows(out, dataset.grid.points))
 
 
@@ -291,19 +323,21 @@ def anova_l2_test(groups, loss, B: int, seed) -> TestResult:
     (seed, g, b), and its full-sample fit is that group's location.  The
     pooled pointwise variance weights each group's bootstrap spread by its
     sample size, which keeps the normalization consistent for balanced and
-    unbalanced designs alike.
+    unbalanced designs alike.  Errors name a group by its index and the
+    label of its first curve.
     """
     groups = list(groups)
     k = len(groups)
     if k < 2:
         raise DataFormatError("need at least 2 groups")
     grid = groups[0].grid
-    for g, ds in enumerate(groups[1:], start=1):
+    for g, ds in enumerate(groups):
         if not grid.same_points(ds.grid):
             raise DataFormatError(f"group {g} is on a different grid")
+        if ds.n < 2:
+            raise DataFormatError(f"group {g} ({ds.groups[0]!r}) has {ds.n} curve; every "
+                                  f"group needs at least 2 curves")
     sizes = np.array([ds.n for ds in groups], dtype=float)
-    if np.any(sizes < 2):
-        raise DataFormatError("every group needs at least 2 curves")
     n_total = float(sizes.sum())
     key = as_key(seed)
 
@@ -311,7 +345,10 @@ def anova_l2_test(groups, loss, B: int, seed) -> TestResult:
     theta_hat = np.empty((k, J))
     xi = np.zeros((J, J))
     for g, ds in enumerate(groups):
-        ens = bootstrap_ensemble(ds, loss, B, (*key, g))
+        try:
+            ens = bootstrap_ensemble(ds, loss, B, (*key, g))
+        except NumericalError as exc:
+            raise NumericalError(f"group {g} ({ds.groups[0]!r}): {exc}") from exc
         theta_hat[g] = ens.estimate.theta
         dev = ens.replicates - ens.replicates.mean(axis=0)
         # einsum, unlike the BLAS product, sums in the same order at any

@@ -16,8 +16,9 @@ ISE study draws on the calling thread, straight into a stacked batch of
 consecutive repetitions, as arrays without a dataset, and fits each batch
 in one solve per loss; ``config.threads`` does not apply to it.  The
 coverage and size studies draw each repetition's dataset and run its
-bootstrap on one of ``config.threads`` pool threads.  Either way a study's
-numbers do not depend on the thread count.
+bootstrap on one of ``config.threads`` pool threads, where the ensemble
+keeps to its thread (see :func:`fmest.inference.bootstrap_ensemble`).
+Either way a study's numbers do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -327,8 +328,8 @@ def _draw_dataset(config: ScenarioConfig, grid: Grid, key: tuple,
 def _run_reps(worker, repetitions: int, threads: int) -> list:
     # A study's parallelism is its repetitions.  They run on pool threads even
     # at threads = 1, because only the main thread splits a bootstrap ensemble
-    # across CPUs (estimator._fit_parts): split solves made coverage and size
-    # studies 10-20% slower on a 2-core host.
+    # across CPUs (inference.bootstrap_ensemble): split solves made coverage
+    # and size studies 10-20% slower on a 2-core host.
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, range(repetitions)))
 
@@ -541,21 +542,16 @@ def read_scenario_config(path) -> tuple[str, ScenarioConfig]:
         raise DataFormatError(f"{path}: study must be one of {_STUDY_KINDS}")
     model_name = raw.get("model")
     scheme = value("scheme", parse_scheme, "complete")
-    fields = dict(
-        model=value("model", model_preset),
+    if "trim" in raw:
         # the trim is validated by the scheme it applies to
-        scheme=value("trim", lambda t: replace(scheme, epsilon_trim=float(t)), "0"),
-        n=value("n", int, "80"),
-        grid_size=value("grid_size", int, "100"),
-        losses=value("losses", loss_list, "square;huber:0.8"),
-        B=value("B", int, "400"),
-        repetitions=value("R", int, "100"),
-        seed=value("seed", int),
-        probes=value("probes", spec_list, ""),
-        alpha=value("alpha", float, "0.05"),
-        shift=value("shift", float, "0"),
-        threads=value("threads", int, "1"),
-    )
+        scheme = value("trim", lambda t: replace(scheme, epsilon_trim=float(t)))
+    fields = dict(model=value("model", model_preset), scheme=scheme, seed=value("seed", int))
+    # a key the file leaves out takes its ScenarioConfig default
+    for key, convert in (("n", int), ("grid_size", int), ("losses", loss_list), ("B", int),
+                         ("R", int), ("probes", spec_list), ("alpha", float),
+                         ("shift", float), ("threads", int)):
+        if key in raw:
+            fields["repetitions" if key == "R" else key] = value(key, convert)
     try:
         config = ScenarioConfig(**fields, model_name=model_name)
     except ValueError as exc:

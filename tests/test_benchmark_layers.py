@@ -10,7 +10,7 @@ import numpy as np
 
 import fmest
 from conftest import random_partial_dataset
-from fmest import estimator, inference
+from fmest import inference
 from fmest.cli import build_parser
 from fmest.losses import ScaledHuber
 from fmest.simulation import read_scenario_config
@@ -63,8 +63,8 @@ def test_split_ensemble_spans_nest_on_the_calling_thread(monkeypatch):
     starts a thread, yet enters every traced layer on the main thread; its
     spans nest, with no negative self time, and sum to the root span."""
     spans = _load(monkeypatch, "spans")
-    monkeypatch.setattr(estimator, "PART_MIN", 1)
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(inference, "PART_MIN", 1)
+    monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
     tracer = spans.Tracer()
     wrap, entered, started = tracer.wrap, [], []
 

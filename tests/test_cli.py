@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,11 @@ import pytest
 
 import fmest
 from conftest import random_partial_dataset
+from fmest import estimator
 from fmest.cli import main
-from fmest.data import Dataset, Grid, PartialCurve, save_csv
+from fmest.data import Dataset, Grid, PartialCurve, load_csv, save_csv
+from fmest.inference import trend_ci
+from fmest.losses import huber
 from fmest.sampling import generate_masks, parse_scheme
 
 
@@ -114,6 +118,57 @@ def test_trend_step_probe(tmp_path, curves_csv):
     assert main(["trend", "--data", str(data), "--probe", "step:0.4",
                  "--B", "100", "--seed", "3", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["probe"] == "step:0.4"
+
+
+def _source_csv(path, sizes, rng):
+    """``sizes[label]`` curves of each group on 11 points over t in [10, 20]."""
+    grid = Grid.from_unit_points(Grid.uniform(11).points, offset=10.0, scale=10.0)
+    curves = []
+    for label, n in sizes.items():
+        ds = random_partial_dataset(rng, n=n, J=11)
+        curves += [PartialCurve(label + c.id, label, c.values, c.mask) for c in ds.curves]
+    save_csv(Dataset(grid, curves), path)
+    return path
+
+
+def test_trend_step_location_is_in_source_units(tmp_path, rng, capsys):
+    """x0 is a t of the data file: on t in [10, 20], step:15 gives the
+    interval of the indicator of t >= 15, and step:0.5 lies outside."""
+    data = _source_csv(tmp_path / "curves.csv", {"0": 12}, rng)
+    out = tmp_path / "ci.json"
+    assert main(["trend", "--data", str(data), "--probe", "step:15", "--B", "100",
+                 "--seed", "3", "--out", str(out)]) == 0
+    dataset = load_csv(data)
+    ci = trend_ci(dataset, huber(0.8), (dataset.grid.points >= 0.5).astype(float), 100, 3,
+                  probe_name="step:15")
+    assert json.loads(out.read_text()) == {
+        "probe": "step:15", "coefficient": ci.coefficient, "lower": ci.lower,
+        "upper": ci.upper, "alpha": 0.05, "B": 100, "significant": ci.significant}
+    assert "coef(step:15)" in capsys.readouterr().out
+    assert main(["trend", "--data", str(data), "--probe", "step:0.5", "--B", "100",
+                 "--seed", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: step location x0=0.5 must lie strictly "
+                                       "inside (10, 20)\n")
+
+
+def test_errors_name_the_group_and_source_t(tmp_path, rng, monkeypatch, capsys):
+    """A group too small for the test is named by its label, and a root
+    solve that fails gives its grid point's t in the data's units, after
+    the group when it is one group's."""
+    uneven = _source_csv(tmp_path / "uneven.csv", {"ctrl": 5, "treated": 1}, rng)
+    out = str(tmp_path / "x.json")
+    assert main(["fanova", "--data", str(uneven), "--B", "100", "--seed", "1",
+                 "--out", out]) == 2
+    assert capsys.readouterr().err == ("error: group 1 ('treated') has 1 curve; every group "
+                                       "needs at least 2 curves\n")
+    groups = _source_csv(tmp_path / "groups.csv", {"ctrl": 12, "treated": 12}, rng)
+    monkeypatch.setattr(estimator, "MAX_ITER", 1)
+    for argv, prefix in ((["fanova"], r"group 0 \('ctrl'\): "), (["trend", "--probe", "linear"], "")):
+        assert main(argv + ["--data", str(groups), "--B", "100", "--seed", "1",
+                            "--out", out]) == 1
+        shown = re.match(rf"numerical failure: {prefix}root solve did not reach tolerance at "
+                         rf"grid point (\d+) \(t=([^,]+), \|psi-sum\|=", capsys.readouterr().err)
+        assert shown and float(shown[2]) == 10 + int(shown[1])
 
 
 def test_bad_inputs_exit_2(tmp_path, curves_csv):
@@ -307,13 +362,16 @@ def test_fanova_bytes_equal_at_one_and_two_blas_threads(tmp_path, rng):
 
 # -- results do not depend on the CPU count ------------------------------------------
 
-# PART_MIN = 1 lets the small test batches split across threads
+# PART_MIN = 1 lets the small test batches split across threads; the child
+# fails if the threshold is not where the ensemble reads it
 _PINNED_MAIN = """
 import json, os, sys
 if sys.argv[1] != "all":
     os.sched_setaffinity(0, {int(sys.argv[1])})
-import fmest.estimator
-fmest.estimator.PART_MIN = 1
+import fmest.inference
+if not hasattr(fmest.inference, "PART_MIN"):
+    sys.exit("fmest.inference has no PART_MIN")
+fmest.inference.PART_MIN = 1
 from fmest.cli import main
 sys.exit(main(json.loads(sys.argv[2])))
 """

@@ -1,6 +1,5 @@
 """Pointwise solver: closed forms, limits, equivariance, influence."""
 
-import threading
 import warnings
 
 import numpy as np
@@ -764,23 +763,6 @@ def test_influence_function_scaled_huber_uses_fit_cutoffs(rng):
                                       influence_function(ds, explicit, theta, y))
     with pytest.raises(TypeError, match="not a loss"):
         influence_function(ds, "huber:0.8", theta, ds.curves[0])
-
-
-def test_fit_parts_split_stacked_fits_on_the_main_thread_only(monkeypatch):
-    """Stacked fits split into contiguous parts, at most one per CPU and each
-    at least PART_MIN values; unstacked values and other threads get one."""
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(estimator, "PART_MIN", 50)
-    stacked = np.empty((10, 4, 5))  # 200 values: room for 4 parts, 3 CPUs
-    assert estimator._fit_parts(stacked) == [slice(0, 3), slice(3, 6), slice(6, 10)]
-    assert estimator._fit_parts(stacked[:5]) == [slice(0, 2), slice(2, 5)]  # 100 values
-    assert estimator._fit_parts(stacked[:2]) == [slice(0, 2)]  # 40 values
-    assert estimator._fit_parts(np.empty((4, 5))) == [slice(None)]
-    got = []
-    worker = threading.Thread(target=lambda: got.append(estimator._fit_parts(stacked)))
-    worker.start()
-    worker.join(timeout=10)
-    assert not worker.is_alive() and got == [[slice(None)]]
 
 
 def test_stacked_root_solve_error_names_the_fit(rng, monkeypatch):

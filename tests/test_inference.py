@@ -1,6 +1,7 @@
 """Resampling, the chi-square mixture calibration, the L2 group test, and
 percentile intervals for probe coefficients."""
 
+import re
 import sys
 import threading
 
@@ -61,6 +62,17 @@ def test_step_probe_values():
                            match=rf"x0={x0:g} selects every point of the grid on \[0\.1, 0\.9\]$"):
             parse_probe(f"step:{x0:g}", inner)
     np.testing.assert_array_equal(step_probe(0.9, inner), np.eye(9)[-1])
+
+
+def test_step_probe_reads_x0_in_source_coordinates():
+    """On a grid over [10, 20], x0 is a source t, reported as given."""
+    grid = Grid.from_source_points(np.linspace(10.0, 20.0, 11))
+    name, p = parse_probe("step:12.3456789", grid)
+    assert name == "step:12.3456789"
+    np.testing.assert_array_equal(p, np.arange(11) >= 3)  # t = 13, ..., 20
+    with pytest.raises(DataFormatError, match=r"^step location x0=25 must lie strictly inside "
+                                              r"\(10, 20\)$"):
+        step_probe(25.0, grid)
 
 
 def test_step_probe_coefficient_is_area():
@@ -147,14 +159,14 @@ def test_bootstrap_ensemble_batch_invariance(rng, monkeypatch):
     cores, switching every 10 microseconds: the threads share the ensemble's
     output and workspace, in disjoint slices."""
     ds = random_partial_dataset(rng, n=12, J=6)
-    monkeypatch.setattr(estimator, "PART_MIN", 1)
+    monkeypatch.setattr(inference, "PART_MIN", 1)
     interval = sys.getswitchinterval()
     try:
         for loss in (huber(0.8), ScaledHuber(3.0), smoothed_quantile(0.3, 0.1)):
             expected = None
             for batch, cpus in ((64, 1), (64, 2), (7, 1), (7, 2), (64, 5)):
                 monkeypatch.setattr(inference, "BOOTSTRAP_BATCH", batch)
-                monkeypatch.setattr(estimator, "_usable_cpus", lambda: cpus)
+                monkeypatch.setattr(inference, "_usable_cpus", lambda: cpus)
                 sys.setswitchinterval(1e-5 if cpus == 5 else interval)
                 got = bootstrap_ensemble(ds, loss, 130, 21).replicates
                 if expected is None:
@@ -165,6 +177,19 @@ def test_bootstrap_ensemble_batch_invariance(rng, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def _count_thread_starts(monkeypatch) -> list:
+    """The threads started from now on, in order."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        return start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_bootstrap_ensemble_starts_one_thread_per_extra_cpu(rng, monkeypatch, cpus):
     """An ensemble splits across the CPUs once, not once per batch: 300
@@ -172,14 +197,9 @@ def test_bootstrap_ensemble_starts_one_thread_per_extra_cpu(rng, monkeypatch, cp
     the solves themselves start none.  Every thread solves, but only the
     calling one enters the public solve_locations and mad_cutoffs."""
     ds = random_partial_dataset(rng, n=12, J=6)
-    monkeypatch.setattr(estimator, "PART_MIN", 1)
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: cpus)
-    started, entered = [], {}
-    start = threading.Thread.start
-
-    def counting_start(thread):
-        started.append(thread)
-        return start(thread)
+    monkeypatch.setattr(inference, "PART_MIN", 1)
+    monkeypatch.setattr(inference, "_usable_cpus", lambda: cpus)
+    entered = {}
 
     def spy_on(module, name):
         fn = getattr(module, name)
@@ -190,7 +210,7 @@ def test_bootstrap_ensemble_starts_one_thread_per_extra_cpu(rng, monkeypatch, cp
 
         monkeypatch.setattr(module, name, spy)
 
-    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    started = _count_thread_starts(monkeypatch)
     spy_on(inference, "solve_locations")
     spy_on(estimator, "mad_cutoffs")
     spy_on(estimator, "_root_solve")
@@ -199,6 +219,39 @@ def test_bootstrap_ensemble_starts_one_thread_per_extra_cpu(rng, monkeypatch, cp
     main = threading.main_thread()
     assert entered == {"solve_locations": {main}, "mad_cutoffs": {main},
                        "_root_solve": {main, *started}}
+
+
+def test_bootstrap_ensemble_slices_hold_part_min_values(rng, monkeypatch):
+    """Each slice holds at least PART_MIN values, so a PART_MIN that admits
+    only 2 slices of the 64 x 12 x 6 workspace starts 1 thread at 3 CPUs."""
+    ds = random_partial_dataset(rng, n=12, J=6)
+    monkeypatch.setattr(inference, "PART_MIN", 64 * 12 * 6 // 2)
+    monkeypatch.setattr(inference, "_usable_cpus", lambda: 3)
+    started = _count_thread_starts(monkeypatch)
+    expected = bootstrap_ensemble(ds, huber(0.8), 300, 8).replicates
+    assert len(started) == 1
+    monkeypatch.setattr(inference, "PART_MIN", 64 * 12 * 6 // 2 + 1)
+    started.clear()
+    np.testing.assert_array_equal(bootstrap_ensemble(ds, huber(0.8), 300, 8).replicates,
+                                  expected)
+    assert started == []
+
+
+def test_bootstrap_ensemble_off_the_main_thread_does_not_split(rng, monkeypatch):
+    """An ensemble run on any thread but the main one starts no thread of
+    its own, at any CPU count, and gives the main thread's split result."""
+    ds = random_partial_dataset(rng, n=12, J=6)
+    monkeypatch.setattr(inference, "PART_MIN", 1)
+    monkeypatch.setattr(inference, "_usable_cpus", lambda: 3)
+    expected = bootstrap_ensemble(ds, ScaledHuber(3.0), 300, 8).replicates
+    got = []
+    worker = threading.Thread(
+        target=lambda: got.append(bootstrap_ensemble(ds, ScaledHuber(3.0), 300, 8).replicates))
+    started = _count_thread_starts(monkeypatch)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and started == [worker]
+    np.testing.assert_array_equal(got[0], expected)
 
 
 @pytest.mark.parametrize("seed", [21, (4, 2**33, 1)])
@@ -235,7 +288,7 @@ def test_bootstrap_ensemble_equals_replicate_loop(rng, monkeypatch, loss):
     and interpolated locations are covered too."""
     ds = random_partial_dataset(rng, n=12, J=6, missing=0.6)
     seed = 17
-    monkeypatch.setattr(estimator, "PART_MIN", 1)  # split this small workspace too
+    monkeypatch.setattr(inference, "PART_MIN", 1)  # split this small workspace too
 
     def concrete(values, mask):
         if isinstance(loss, ScaledHuber):
@@ -251,7 +304,7 @@ def test_bootstrap_ensemble_equals_replicate_loop(rng, monkeypatch, loss):
                                         concrete(boot.values, boot.mask), theta0=warm))
         expected = interpolate_rows(np.stack(rows), ds.grid.points)
         for threads in (1, 2, 3):
-            monkeypatch.setattr(estimator, "_usable_cpus", lambda: threads)
+            monkeypatch.setattr(inference, "_usable_cpus", lambda: threads)
             np.testing.assert_array_equal(bootstrap_ensemble(ds, loss, B, seed).replicates,
                                           expected, err_msg=f"B={B}, {threads} threads")
 
@@ -261,8 +314,8 @@ def test_bootstrap_ensemble_thread_error_reaches_caller(rng, monkeypatch):
     part of the ensemble solved on another thread, reaches the caller
     unchanged."""
     ds = random_partial_dataset(rng, n=12, J=6)
-    monkeypatch.setattr(estimator, "PART_MIN", 1)
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(inference, "PART_MIN", 1)
+    monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
     solve = estimator._root_solve
 
     def failing(*args):
@@ -282,8 +335,8 @@ def test_bootstrap_ensemble_thread_error_names_the_replicate(rng, monkeypatch, t
     100 is inside its second batch and 129 is the last, in a short batch.
     The failing fit is found by its values, so the test assumes no layout."""
     ds = random_partial_dataset(rng, n=12, J=6)
-    monkeypatch.setattr(estimator, "PART_MIN", 1)
-    monkeypatch.setattr(estimator, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(inference, "PART_MIN", 1)
+    monkeypatch.setattr(inference, "_usable_cpus", lambda: 2)
     boot = resample(ds, 5, target)
     wanted = np.where(boot.mask, boot.values, 0.0)
     solve = estimator._root_solve
@@ -326,6 +379,30 @@ def test_bootstrap_ensemble_error_names_the_replicate(rng, monkeypatch):
     assert batches == [64, 64]
     fit = err.value.__cause__.fit[0]
     assert err.value.args[0].startswith(f"bootstrap replicate {64 + fit}: ")
+
+
+def test_group_test_error_names_group_replicate_and_source_t(rng, monkeypatch):
+    """A root solve that fails in a group's bootstrap names the group by its
+    index and label, the replicate, and the failing point's t in the grid's
+    source coordinates next to its index."""
+    grid = Grid.from_unit_points(Grid.uniform(6).points, offset=10.0, scale=5.0)
+    groups = [matrix_dataset(grid, ds.values, ds.mask, group=label)
+              for label, ds in (("a", random_partial_dataset(rng, n=12, J=6)),
+                                ("b", random_partial_dataset(rng, n=12, J=6)))]
+    solve = inference.solve_locations
+
+    def spy(values, mask, loss, theta0=None, **kwargs):
+        if values.ndim == 3:  # the full-sample fits pass; the replicates fail
+            monkeypatch.setattr(estimator, "MAX_ITER", 1)
+        return solve(values, mask, loss, theta0=theta0, **kwargs)
+
+    monkeypatch.setattr(inference, "solve_locations", spy)
+    with pytest.raises(NumericalError) as err:
+        anova_l2_test(groups, huber(0.8), 100, 5)
+    shown = re.match(r"group 0 \('a'\): bootstrap replicate \d+: root solve did not reach "
+                     r"tolerance for fit \d+ at grid point (\d+) \(t=([^,]+), \|psi-sum\|=",
+                     str(err.value))
+    assert shown and shown[2] == f"{grid.source_points[int(shown[1])]:g}"
 
 
 @pytest.mark.parametrize("loss", [huber(0.8), smoothed_quantile(0.3, 1.0)],
